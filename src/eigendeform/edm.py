@@ -11,7 +11,9 @@ modes at unsampled parameters.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -28,6 +30,31 @@ class OutOfDomainError(ValueError):
 _SPLINE_DEGREE = {"linear": 1, "cubic": 3}
 
 
+@lru_cache(maxsize=64)
+def _cardinal_weights(grid: bytes, k: int):
+    """Map μ to the weights w that make ``values @ w`` the degree-k spline interpolant.
+
+    Splines are linear in the sampled values, so w is the spline through the
+    unit vectors on the grid: two hat functions for k = 1, else one spline of
+    the identity, built here once per grid and degree.
+    """
+    x = np.frombuffer(grid)
+    if not np.all(np.diff(x) > 0):
+        raise ValueError("sample parameters must be strictly increasing")
+    if k != 1:
+        return make_interp_spline(x, np.eye(x.size), k=k)
+    knots = x.tolist()
+
+    def hat_weights(mu: float) -> np.ndarray:
+        j = min(bisect_right(knots, mu), len(knots) - 1)  # knots[j-1] <= mu <= knots[j]
+        t = (mu - knots[j - 1]) / (knots[j] - knots[j - 1])
+        w = np.zeros(len(knots))
+        w[j - 1], w[j] = 1.0 - t, t
+        return w
+
+    return hat_weights
+
+
 def interpolate_columns(sample_mus, values, mu: float, scheme: str = "linear"):
     """Interpolate the columns of ``values`` (rows, p) at one parameter value.
 
@@ -35,7 +62,8 @@ def interpolate_columns(sample_mus, values, mu: float, scheme: str = "linear"):
     physical space, deformation coefficients, eigenvalues, and trajectory
     snapshots all go through here.  ``scheme`` is "linear" or "cubic"; the
     spline degree degrades gracefully when fewer than degree+1 samples exist.
-    Extrapolation is refused.
+    A query costs one weight vector on the sample grid and one product
+    ``values @ w``.  Extrapolation is refused.
     """
     sample_mus = np.asarray(sample_mus, dtype=float)
     values = np.atleast_2d(np.asarray(values))
@@ -47,8 +75,7 @@ def interpolate_columns(sample_mus, values, mu: float, scheme: str = "linear"):
             f"[{sample_mus[0]}, {sample_mus[-1]}]"
         )
     k = min(_SPLINE_DEGREE[scheme], sample_mus.size - 1)
-    spline = make_interp_spline(sample_mus, values, k=k, axis=1)
-    return spline(mu)
+    return values @ _cardinal_weights(sample_mus.tobytes(), k)(mu)
 
 
 @dataclass(frozen=True)
@@ -200,13 +227,6 @@ def interpolate_mode(basis: EdmBasis, mu: float, scheme: str = "linear") -> np.n
         raise ValueError("basis carries no sample parameters to interpolate against")
     if basis.sample_mus.size < 2:
         raise ValueError("need at least 2 samples to interpolate")
-    if basis.rank == 0:
-        if not basis.sample_mus[0] <= mu <= basis.sample_mus[-1]:
-            raise OutOfDomainError(
-                f"parameter {mu} outside the sampled interval "
-                f"[{basis.sample_mus[0]}, {basis.sample_mus[-1]}]"
-            )
-        return basis.mean_mode.copy()
     coeff = interpolate_columns(basis.sample_mus, basis.coefficients, mu, scheme)
     return basis.mean_mode + basis.edms @ coeff
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,15 @@ def _checksum(data: bytes) -> str:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    # a unique temp name per writer, so concurrent writers never share one
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _array_bytes(a: np.ndarray) -> tuple[bytes, bool]:

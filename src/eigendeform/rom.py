@@ -118,7 +118,7 @@ def build_rom_interpolated(
         raise ValueError(f"unknown strategy {strategy!r}")
     mus = db.mus
 
-    lam_rows = np.vstack([[s.eigenvalues[i] for s in db.samples] for i in range(m)])
+    lam_rows = np.column_stack([s.eigenvalues[:m] for s in db.samples])
     eigenvalues = np.atleast_1d(interpolate_columns(mus, lam_rows, mu, eigenvalue_scheme))
 
     has_left = db.samples[0].left_modes is not None
@@ -179,6 +179,8 @@ def simulate_rom(rom: Rom, x0, times) -> Trajectory:
     xhat0 = _weight(rom.mass_factor, rom.adjoint).conj().T @ _weight(rom.mass_factor, dx0)
 
     lam = rom.eigenvalues
+    if not (np.iscomplexobj(rom.basis) or np.any(lam.imag)):
+        lam = lam.real  # real spectrum and basis: keep the lift a real product
     pair_weight = np.where(
         np.iscomplexobj(rom.basis) & (np.abs(lam.imag) > 1e-12 * np.maximum(1.0, np.abs(lam))),
         2.0,

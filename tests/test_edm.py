@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 
 from eigendeform.edm import (
     OutOfDomainError,
@@ -8,6 +9,7 @@ from eigendeform.edm import (
     direct_interpolate,
     energy_fraction,
     extract_edm_basis,
+    interpolate_columns,
     interpolate_mode,
     interpolation_error,
     select_rank,
@@ -138,6 +140,44 @@ class TestEnergyAndRank:
         assert select_rank(s_bump, 0.99) > select_rank(s_rod, 0.99)
 
 
+def spline_reference(sample_mus, values, mu, degree):
+    """The interpolating B-spline of the same degree, built directly by scipy."""
+    k = min(degree, len(sample_mus) - 1)
+    return make_interp_spline(sample_mus, np.atleast_2d(values), k=k, axis=1)(mu)
+
+
+class TestInterpolateColumns:
+    @pytest.mark.parametrize("scheme, degree", [("linear", 1), ("cubic", 3)])
+    @pytest.mark.parametrize("p", [2, 3, 4, 9])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_matches_spline_oracle(self, scheme, degree, p, complex_values):
+        rng = np.random.default_rng(100 * p + degree + complex_values)
+        mus = np.sort(rng.uniform(-2.0, 5.0, p))  # non-uniform grid
+        values = rng.standard_normal((5, p))
+        if complex_values:
+            values = values + 1j * rng.standard_normal((5, p))
+        queries = [mus[0], mus[p // 2], mus[-1], *rng.uniform(mus[0], mus[-1], 6)]
+        for mu in queries:
+            for v in (values, values[2]):  # 2-D and 1-D values
+                got = interpolate_columns(mus, v, mu, scheme)
+                want = spline_reference(mus, v, mu, degree)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("scheme", ["linear", "cubic"])
+    def test_knots_reproduced(self, scheme):
+        mus = np.array([0.0, 0.3, 1.7, 2.0, 4.5])
+        values = np.arange(10.0).reshape(2, 5) ** 2
+        for k, mu in enumerate(mus):
+            got = interpolate_columns(mus, values, mu, scheme)
+            assert np.allclose(got, values[:, k], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("scheme", ["linear", "cubic"])
+    def test_unsorted_grid_refused(self, scheme):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            interpolate_columns([0.0, 2.0, 1.0, 3.0], np.ones((1, 4)), 0.5, scheme)
+
+
 class TestInterpolateMode:
     def test_knot_reproduction_full_rank(self, rod_db):
         r = weighted_rank(rod_db, 0)
@@ -179,10 +219,12 @@ class TestInterpolateMode:
 
     def test_extrapolation_refused(self, rod_db):
         basis = extract_edm_basis(rod_db, 0, rank=2)
-        with pytest.raises(OutOfDomainError):
-            interpolate_mode(basis, 28.5)
-        with pytest.raises(OutOfDomainError):
-            interpolate_mode(extract_edm_basis(rod_db, 0, rank=0), -0.1)
+        for scheme in ("linear", "cubic"):
+            for mu in (28.5, 28.0 + 1e-9, np.nan):
+                with pytest.raises(OutOfDomainError):
+                    interpolate_mode(basis, mu, scheme)
+            with pytest.raises(OutOfDomainError):
+                interpolate_mode(extract_edm_basis(rod_db, 0, rank=0), -0.1, scheme)
 
 
 class TestDirectInterpolate:
@@ -199,8 +241,14 @@ class TestDirectInterpolate:
         assert np.allclose(direct_interpolate(db, 0, 0.5), [0.5, 0.5])
 
     def test_extrapolation_refused(self, rod_db):
-        with pytest.raises(OutOfDomainError):
-            direct_interpolate(rod_db, 0, -1.0)
+        for scheme in ("linear", "cubic"):
+            for mu in (-1.0, -1e-9, np.nan):
+                with pytest.raises(OutOfDomainError):
+                    direct_interpolate(rod_db, 0, mu, scheme)
+
+    def test_unknown_scheme_refused(self, rod_db):
+        with pytest.raises(ValueError, match="unknown interpolation scheme"):
+            direct_interpolate(rod_db, 0, 1.0, "quadratic")
 
     def test_requires_prepared(self, rod):
         db = sample_spectrum(rod, np.linspace(0.0, 28.0, 4), 2)

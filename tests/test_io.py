@@ -1,10 +1,13 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from eigendeform.edm import extract_edm_basis
 from eigendeform.io import (
+    _write_atomic,
     ChecksumError,
     FormatError,
     load_database,
@@ -164,3 +167,32 @@ class TestEdmBasisRoundTrip:
         save_database(rod_db, tmp_path / "db")
         with pytest.raises(FormatError, match="edm-basis"):
             load_edm_basis(tmp_path / "db")
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_leave_one_whole_payload(self, tmp_path):
+        target = tmp_path / "manifest.json"
+        payloads = [bytes([65 + i]) * 200_000 for i in range(4)]
+        errors = []
+
+        def writer(payload):
+            try:
+                for _ in range(50):
+                    _write_atomic(target, payload)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert target.read_bytes() in payloads
+        assert [f.name for f in tmp_path.iterdir()] == ["manifest.json"]

@@ -123,6 +123,22 @@ class TestSimulateRom:
         assert np.allclose(traj.states, explicit.real, atol=1e-10)
         assert np.allclose(traj.states[:, 0], traj.states[:, -1], atol=1e-9)
 
+    def test_real_spectrum_matches_complex_arithmetic(self, rod_db, rod):
+        bases = [extract_edm_basis(rod_db, i, rank=2) for i in range(6)]
+        xbar = equilibrium(rod, 13.0)
+        rom = build_rom_interpolated(rod_db, 13.0, 6, edm_bases=bases, equilibrium=xbar)
+        assert np.iscomplexobj(rom.eigenvalues) and not np.any(rom.eigenvalues.imag)
+        x0 = equilibrium(rod, 90.0)
+        times = np.linspace(0.0, default_horizon(rod_db), 201)
+        traj = simulate_rom(rom, x0, times)
+        F = rom.mass_factor
+        xhat0 = (F @ rom.adjoint).T @ (F @ (x0 - xbar))
+        modal = xhat0[:, None] * np.exp(np.outer(rom.eigenvalues, times))
+        deviation = np.real(rom.basis.astype(complex) @ modal)
+        assert np.isrealobj(traj.states)
+        misfit = np.linalg.norm(traj.states - xbar[:, None] - deviation)
+        assert misfit <= 1e-12 * np.linalg.norm(deviation)
+
     def test_time_grid_validation(self, rod_db):
         rom = build_rom_at_sample(rod_db, rod_db.mus[0], 2, None)
         with pytest.raises(ValueError):
