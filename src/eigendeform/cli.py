@@ -90,10 +90,8 @@ def _edm_bases(db, m, rank=None, energy=None, which="right"):
 
 
 def _numerical_rank(db, i) -> int:
-    _, data = edm_mod.build_data_matrix(db, i)
-    weighted = data if db.mass_factor is None else db.mass_factor @ data
-    s = np.linalg.svd(weighted, compute_uv=False)
-    return int(np.sum(s > s[0] * max(weighted.shape) * np.finfo(float).eps)) if s[0] > 0 else 0
+    s = edm_mod.extract_edm_basis(db, i, rank=0).singular_values
+    return int(np.sum(s > s[0] * max(db.n, db.p) * np.finfo(float).eps)) if s[0] > 0 else 0
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -148,9 +146,9 @@ def cmd_modes(args) -> int:
         print(f"warning: {w}")
     if args.out is not None:
         rows = [
-            (s.mu, i + 1, s.eigenvalues[i].real, s.eigenvalues[i].imag)
-            for s in db.samples
-            for i in range(db.m)
+            (mu, i + 1, lam.real, lam.imag)
+            for mu, column in zip(db.mus.tolist(), db.eigenvalues.T)
+            for i, lam in enumerate(column)
         ]
         path = Path(args.out)
         _write_csv(path, ["mu (parameter)", "mode (1-based)", "re_lambda (1/time)", "im_lambda (1/time)"], rows)
@@ -237,7 +235,7 @@ def cmd_rom(args) -> int:
         bases = left_bases = None
         if args.strategy == "edm":
             bases = _edm_bases(db, m, rank=args.rank, energy=args.energy)
-            if db.samples[0].left_modes is not None:
+            if db.left is not None:
                 left_bases = _edm_bases(db, m, rank=args.rank, energy=args.energy, which="left")
         model = rom_mod.build_rom_interpolated(
             db, args.mu, m, strategy=args.strategy, edm_bases=bases,
@@ -303,7 +301,7 @@ def _report_benchmark(args) -> int:
     m = args.m or db.m
     bases = _edm_bases(db, m, rank=args.rank, energy=args.energy)
     left_bases = None
-    if db.samples[0].left_modes is not None:
+    if db.left is not None:
         left_bases = _edm_bases(db, m, rank=args.rank, energy=args.energy, which="left")
     grid = np.linspace(db.mus[0], db.mus[-1], args.grid)
     rows = rom_mod.benchmark_strategies(

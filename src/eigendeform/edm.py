@@ -210,10 +210,10 @@ def select_rank(singular_values, threshold: float = 0.999) -> int:
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1]")
     s = np.asarray(singular_values, dtype=float)
-    for r in range(s.size + 1):
-        if energy_fraction(s, r) >= threshold:
-            return r
-    return s.size  # pragma: no cover - fraction reaches 1 at full rank
+    energy_fraction(s, s.size)  # validates once
+    fractions = np.cumsum(s) / s.sum()
+    # the fraction reaches 1 at full rank, whatever the rounding of the cumsum
+    return min(int(np.searchsorted(fractions, threshold)) + 1, s.size)
 
 
 def interpolate_mode(basis: EdmBasis, mu: float, scheme: str = "linear") -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .edm import EdmBasis, energy_fraction
-from .modal import ModeDatabase, ModeSample
+from .modal import ModeDatabase
 from .numerics import cholesky_factor
 
 FORMAT_VERSION = 1
@@ -47,18 +47,11 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _array_bytes(a: np.ndarray) -> tuple[bytes, bool]:
+def _add_array(files: dict, arrays: dict, name: str, a: np.ndarray) -> None:
+    """Queue an array's column-major bytes for writing and record its manifest entry."""
     is_complex = np.iscomplexobj(a)
-    dtype = "<c16" if is_complex else "<f8"
-    return np.asarray(a).astype(dtype).tobytes(order="F"), is_complex
-
-
-def _array_from_bytes(data: bytes, shape, is_complex: bool, name: str) -> np.ndarray:
-    dtype = np.dtype("<c16" if is_complex else "<f8")
-    expected = int(np.prod(shape)) * dtype.itemsize
-    if len(data) != expected:
-        raise FormatError(f"{name}: expected {expected} bytes for shape {shape}, found {len(data)}")
-    return np.frombuffer(data, dtype=dtype).reshape(shape, order="F").copy()
+    files[name] = np.asarray(a, dtype="<c16" if is_complex else "<f8").tobytes(order="F")
+    arrays[name] = {"shape": list(a.shape), "complex": is_complex}
 
 
 def _coo_bytes(E: np.ndarray) -> bytes:
@@ -119,7 +112,10 @@ def _write_files(path: Path, files: dict[str, bytes], manifest: dict) -> None:
     _write_atomic(path / "manifest.json", payload)
 
 
-def _read_file(path: Path, name: str, entry: dict) -> bytes:
+def _read_file(path: Path, arrays: dict, name: str) -> bytes:
+    entry = arrays.get(name)
+    if entry is None:
+        raise FormatError(f"manifest has no entry for {name}")
     fpath = path / name
     if not fpath.is_file():
         raise FormatError(f"missing array file {name}")
@@ -129,28 +125,50 @@ def _read_file(path: Path, name: str, entry: dict) -> bytes:
     return data
 
 
+def _read_array(path: Path, arrays: dict, name: str, shape=None) -> np.ndarray:
+    """Read-only column-major view of a checksummed array file.
+
+    ``shape``, when given, must match the file's manifest entry.
+    """
+    data = _read_file(path, arrays, name)
+    entry = arrays[name]
+    shape = tuple(entry["shape"]) if shape is None else shape
+    if list(entry["shape"]) != list(shape):
+        raise FormatError(f"{name}: manifest shape {entry['shape']} does not match expected {list(shape)}")
+    dtype = np.dtype("<c16" if entry["complex"] else "<f8")
+    expected = int(np.prod(shape)) * dtype.itemsize
+    if len(data) != expected:
+        raise FormatError(f"{name}: expected {expected} bytes for shape {shape}, found {len(data)}")
+    return np.frombuffer(data, dtype=dtype).reshape(shape, order="F")
+
+
+def _read_manifest(path: Path, kind: str) -> dict:
+    mpath = path / "manifest.json"
+    if not mpath.is_file():
+        raise FormatError(f"no manifest.json in {path}")
+    manifest = json.loads(mpath.read_text())
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {manifest.get('format_version')}")
+    if manifest.get("kind") != kind:
+        raise FormatError(f"expected a {kind} directory, found {manifest.get('kind')!r}")
+    return manifest
+
+
 def save_database(db: ModeDatabase, path) -> Path:
     """Write a ModeDatabase directory; round-trips bit-exactly through load."""
     path = Path(path)
     n, p, m = db.n, db.p, db.m
-    has_left = db.samples[0].left_modes is not None
-    eig_block = np.column_stack([s.eigenvalues for s in db.samples])
+    eig_block = db.eigenvalues
     if not np.any(eig_block.imag):
         eig_block = eig_block.real
 
     files: dict[str, bytes] = {}
     arrays: dict[str, dict] = {}
-
-    def add(name: str, array: np.ndarray) -> None:
-        data, is_complex = _array_bytes(array)
-        files[name] = data
-        arrays[name] = {"shape": list(array.shape), "complex": is_complex}
-
-    add("eigenvalues.bin", eig_block)
-    for k, sample in enumerate(db.samples):
-        add(f"right_modes_{k:03d}.bin", sample.right_modes)
-        if has_left:
-            add(f"left_modes_{k:03d}.bin", sample.left_modes)
+    _add_array(files, arrays, "eigenvalues.bin", eig_block)
+    for k in range(p):
+        _add_array(files, arrays, f"right_modes_{k:03d}.bin", db.right[:, :, k])
+        if db.left is not None:
+            _add_array(files, arrays, f"left_modes_{k:03d}.bin", db.left[:, :, k])
     if db.mass_factor is None:
         files["E.coo"] = _identity_coo_bytes(n)
     else:
@@ -179,47 +197,30 @@ def save_database(db: ModeDatabase, path) -> Path:
 def load_database(path) -> ModeDatabase:
     """Read a ModeDatabase directory, validating checksums and shapes."""
     path = Path(path)
-    mpath = path / "manifest.json"
-    if not mpath.is_file():
-        raise FormatError(f"no manifest.json in {path}")
-    manifest = json.loads(mpath.read_text())
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {manifest.get('format_version')}")
-    if manifest.get("kind") != "mode-database":
-        raise FormatError(f"expected a mode-database directory, found {manifest.get('kind')!r}")
-
+    manifest = _read_manifest(path, "mode-database")
     n, p, m = manifest["n"], manifest["p"], manifest["m"]
     mus = manifest["parameters"]
     if len(mus) != p:
         raise FormatError(f"manifest lists {len(mus)} parameters but p={p}")
     arrays = manifest["arrays"]
 
-    def read(name: str, shape) -> np.ndarray:
-        entry = arrays.get(name)
-        if entry is None:
-            raise FormatError(f"manifest has no entry for {name}")
-        if list(entry["shape"]) != list(shape):
-            raise FormatError(f"{name}: manifest shape {entry['shape']} does not match expected {list(shape)}")
-        data = _read_file(path, name, entry)
-        return _array_from_bytes(data, shape, entry["complex"], name)
+    def read_modes(family: str) -> np.ndarray:
+        # each sample's file fills its slice of one (n, m, p) array; copyto refuses
+        # a complex file under a real manifest instead of dropping imaginary parts
+        modes = np.empty((n, m, p), dtype=complex if manifest.get("complex") else float, order="F")
+        for k in range(p):
+            np.copyto(modes[:, :, k], _read_array(path, arrays, f"{family}_modes_{k:03d}.bin", (n, m)))
+        return modes
 
-    eig_block = read("eigenvalues.bin", (m, p)).astype(complex)
-    entry = arrays.get("E.coo")
-    if entry is None:
-        raise FormatError("manifest has no entry for E.coo")
-    factor = _factor_from_coo(*_coo_parse(_read_file(path, "E.coo", entry), n), n)
-
-    has_left = f"left_modes_{0:03d}.bin" in arrays
-    samples = []
-    for k in range(p):
-        right = read(f"right_modes_{k:03d}.bin", (n, m))
-        left = read(f"left_modes_{k:03d}.bin", (n, m)) if has_left else None
-        samples.append(ModeSample(float(mus[k]), eig_block[:, k], right, left))
+    eig_block = _read_array(path, arrays, "eigenvalues.bin", (m, p)).astype(complex)
+    factor = _factor_from_coo(*_coo_parse(_read_file(path, arrays, "E.coo"), n), n)
 
     return ModeDatabase(
-        samples=tuple(samples),
+        mus=mus,
+        eigenvalues=eig_block,
+        right=read_modes("right"),
+        left=read_modes("left") if f"left_modes_{0:03d}.bin" in arrays else None,
         mass_factor=factor,
-        m=m,
         paired=manifest.get("paired", False),
         aligned=manifest.get("aligned", False),
         crossing_gaps=tuple(manifest.get("crossing_gaps", [])),
@@ -233,16 +234,10 @@ def save_edm_basis(basis: EdmBasis, path) -> Path:
     path = Path(path)
     files: dict[str, bytes] = {}
     arrays: dict[str, dict] = {}
-
-    def add(name: str, array: np.ndarray) -> None:
-        data, is_complex = _array_bytes(array)
-        files[name] = data
-        arrays[name] = {"shape": list(array.shape), "complex": is_complex}
-
-    add("mean_mode.bin", basis.mean_mode)
-    add("edms.bin", basis.edms)
-    add("singular_values.bin", basis.singular_values)
-    add("coefficients.bin", basis.coefficients)
+    _add_array(files, arrays, "mean_mode.bin", basis.mean_mode)
+    _add_array(files, arrays, "edms.bin", basis.edms)
+    _add_array(files, arrays, "singular_values.bin", basis.singular_values)
+    _add_array(files, arrays, "coefficients.bin", basis.coefficients)
 
     s = basis.singular_values
     captured = None
@@ -266,20 +261,11 @@ def save_edm_basis(basis: EdmBasis, path) -> Path:
 def load_edm_basis(path) -> EdmBasis:
     """Read a deformation-basis directory written by save_edm_basis."""
     path = Path(path)
-    mpath = path / "manifest.json"
-    if not mpath.is_file():
-        raise FormatError(f"no manifest.json in {path}")
-    manifest = json.loads(mpath.read_text())
-    if manifest.get("kind") != "edm-basis":
-        raise FormatError(f"expected an edm-basis directory, found {manifest.get('kind')!r}")
+    manifest = _read_manifest(path, "edm-basis")
     arrays = manifest["arrays"]
 
     def read(name: str) -> np.ndarray:
-        entry = arrays.get(name)
-        if entry is None:
-            raise FormatError(f"manifest has no entry for {name}")
-        data = _read_file(path, name, entry)
-        return _array_from_bytes(data, tuple(entry["shape"]), entry["complex"], name)
+        return _read_array(path, arrays, name).copy()
 
     mean = read("mean_mode.bin")
     edms = read("edms.bin")

@@ -1,16 +1,18 @@
 """Mode databases: parameter sweeps, mode pairing, and sign/phase alignment.
 
 A ModeDatabase holds the m tracked eigenmodes of a parameterized system at p
-sampled parameter values.  Before any cross-parameter averaging the modes must
-be *paired* (mode k+1 continues mode k even through eigenvalue crossings) and
-*aligned* (the arbitrary sign of real modes, or phase of complex modes, made
-consistent across samples).
+sampled parameter values as one (n, m, p) array, so a mode chain is an (n, p)
+matrix.  Before any cross-parameter averaging the modes must be *paired*
+(mode k+1 continues mode k even through eigenvalue crossings) and *aligned*
+(the arbitrary sign of real modes, or phase of complex modes, made consistent
+across samples).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .numerics import (
     EigensolverError,
@@ -23,7 +25,7 @@ from .systems import FullOrderSystem, traveling_bump_family
 
 @dataclass(frozen=True)
 class ModeSample:
-    """Eigenvalues and E-normalized eigenmodes at one parameter value."""
+    """Eigenvalues and E-normalized eigenmodes at one parameter value, as views into a ModeDatabase."""
 
     mu: float
     eigenvalues: np.ndarray  # (m,) complex
@@ -33,16 +35,22 @@ class ModeSample:
 
 @dataclass(frozen=True)
 class ModeDatabase:
-    """Per-parameter mode samples plus the Cholesky factor of the mass matrix.
+    """The m tracked modes at p sampled parameters, plus the Cholesky factor of the mass matrix.
 
-    ``mass_factor`` is the upper-triangular F with FᵀF = E, or None when the
-    mass matrix is the identity.  ``paired`` and ``aligned`` record which
-    preparation passes have run.
+    ``right[:, i, k]`` is mode i at ``mus[k]`` with eigenvalue ``eigenvalues[i, k]``;
+    ``left`` holds the adjoint modes of a non-self-adjoint system, else None.
+    Mode arrays are kept in Fortran order, so sample k (``right[:, :, k]``) is
+    one column-major block and chain i (``right_block(i)``) a view of p
+    contiguous columns.  ``mass_factor`` is the upper-triangular F with FᵀF = E,
+    or None when the mass matrix is the identity.  ``paired`` and ``aligned``
+    record which preparation passes have run; the passes return new arrays.
     """
 
-    samples: tuple[ModeSample, ...]
+    mus: np.ndarray  # (p,)
+    eigenvalues: np.ndarray  # (m, p) complex
+    right: np.ndarray  # (n, m, p)
+    left: np.ndarray | None  # (n, m, p)
     mass_factor: np.ndarray | None
-    m: int
     paired: bool = False
     aligned: bool = False
     crossing_gaps: tuple[int, ...] = ()
@@ -50,27 +58,38 @@ class ModeDatabase:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.samples) < 2:
-            raise ValueError(f"a mode database needs at least 2 samples, got {len(self.samples)}")
-        mus = self.mus
+        mus = np.asarray(self.mus, dtype=float)
+        eigenvalues = np.asarray(self.eigenvalues, dtype=complex)
+        right = np.asfortranarray(self.right)
+        left = None if self.left is None else np.asfortranarray(self.left)
+        if mus.ndim != 1 or mus.size < 2:
+            raise ValueError(f"a mode database needs at least 2 samples, got {mus.size}")
         if not np.all(np.diff(mus) > 0):
             raise ValueError("sample parameters must be strictly increasing")
-
-    @property
-    def p(self) -> int:
-        return len(self.samples)
+        if right.ndim != 3 or right.shape[2] != mus.size:
+            raise ValueError(f"right modes have shape {right.shape}, expected (n, m, {mus.size})")
+        if eigenvalues.shape != right.shape[1:]:
+            raise ValueError(f"eigenvalues have shape {eigenvalues.shape}, expected {right.shape[1:]}")
+        if left is not None and left.shape != right.shape:
+            raise ValueError(f"left modes have shape {left.shape}, expected {right.shape}")
+        for name, value in (("mus", mus), ("eigenvalues", eigenvalues), ("right", right), ("left", left)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.samples[0].right_modes.shape[0]
+        return self.right.shape[0]
 
     @property
-    def mus(self) -> np.ndarray:
-        return np.array([s.mu for s in self.samples])
+    def m(self) -> int:
+        return self.right.shape[1]
+
+    @property
+    def p(self) -> int:
+        return self.right.shape[2]
 
     @property
     def is_complex(self) -> bool:
-        return any(np.iscomplexobj(s.right_modes) for s in self.samples)
+        return np.iscomplexobj(self.right)
 
     @property
     def mass(self) -> np.ndarray:
@@ -79,18 +98,33 @@ class ModeDatabase:
             return np.eye(self.n)
         return self.mass_factor.T @ self.mass_factor
 
+    @property
+    def samples(self) -> tuple[ModeSample, ...]:
+        """One ModeSample per parameter, holding views into the database arrays."""
+        return tuple(
+            ModeSample(
+                mu,
+                self.eigenvalues[:, k],
+                self.right[:, :, k],
+                None if self.left is None else self.left[:, :, k],
+            )
+            for k, mu in enumerate(self.mus.tolist())
+        )
+
     def right_block(self, i: int) -> np.ndarray:
-        """Modes of chain i across samples, as columns of an (n, p) block."""
-        return np.column_stack([s.right_modes[:, i] for s in self.samples])
+        """Modes of chain i across samples, as columns of an (n, p) view."""
+        return self.right[:, i, :]
 
     def left_block(self, i: int) -> np.ndarray | None:
-        if self.samples[0].left_modes is None:
-            return None
-        return np.column_stack([s.left_modes[:, i] for s in self.samples])
+        return None if self.left is None else self.left[:, i, :]
 
 
-def _weight(F: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    return x if F is None else F @ x
+def _weight_modes(F: np.ndarray | None, modes: np.ndarray) -> np.ndarray:
+    """F applied to every mode of an (n, m, p) array, in one product."""
+    if F is None:
+        return modes
+    n, m, p = modes.shape
+    return (F @ modes.reshape(n, m * p, order="F")).reshape(n, m, p, order="F")
 
 
 def mac(a: np.ndarray, b: np.ndarray, E: np.ndarray | None = None) -> float:
@@ -132,8 +166,9 @@ def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
     factor = _identity_mass_factor(mass)
     real_pencil = not np.iscomplexobj(mass)
 
-    samples = []
-    for mu in mus:
+    eigenvalues = np.empty((m, mus.size), dtype=complex)
+    rights, lefts = [], []
+    for k, mu in enumerate(mus):
         A = np.asarray(sys.operator_at(mu))
         try:
             pairs = generalized_eig(A, mass, want_left=not is_symmetric(A))
@@ -146,102 +181,99 @@ def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
                 f"only {len(pairs)} tracked modes available at mu={mu}, requested {m}"
             )
         pairs = pairs[:m]
-        eigenvalues = np.array([pr.eigenvalue for pr in pairs])
-        right = np.column_stack([pr.right_vector for pr in pairs])
-        left = None
-        if pairs[0].left_vector is not None and pairs[0].left_vector is not pairs[0].right_vector:
-            left = np.column_stack([pr.left_vector for pr in pairs])
-        samples.append(ModeSample(float(mu), eigenvalues, right, left))
+        eigenvalues[:, k] = [pr.eigenvalue for pr in pairs]
+        rights.append(np.column_stack([pr.right_vector for pr in pairs]))
+        if pairs[0].left_vector is not None:
+            lefts.append(np.column_stack([pr.left_vector for pr in pairs]))
 
-    if any(np.iscomplexobj(s.right_modes) for s in samples):
-        samples = [
-            ModeSample(
-                s.mu,
-                s.eigenvalues,
-                s.right_modes.astype(complex),
-                None if s.left_modes is None else s.left_modes.astype(complex),
-            )
-            for s in samples
-        ]
-
+    # stacking promotes every sample to complex when any one is
     return ModeDatabase(
-        samples=tuple(samples),
+        mus=mus,
+        eigenvalues=eigenvalues,
+        right=np.stack(rights, axis=2),
+        left=np.stack(lefts, axis=2) if lefts else None,
         mass_factor=factor,
-        m=m,
         metadata=dict(sys.metadata),
     )
 
 
-def pair_modes(db: ModeDatabase, mac_gap: float = 0.01) -> ModeDatabase:
-    """Match modes across consecutive samples by greedy maximum weighted MAC.
+def _match_gap(mac: np.ndarray, lam_prev: np.ndarray, lam_next: np.ndarray, mac_gap: float):
+    """Match the chains (rows of ``mac``) to the next sample's modes (columns).
 
-    Near-ties (two available candidates whose MAC values differ by less than
-    ``mac_gap``) are resolved by eigenvalue proximity and recorded as
-    degeneration warnings.  Every sample gap where the shape-based match
-    disagrees with plain eigenvalue ordering is listed in ``crossing_gaps``.
+    Returns the column of each chain and the chains in contest: those on which
+    the best assignment and some other assignment scoring within ``mac_gap``
+    of its total MAC disagree.  Any other assignment drops one pair of the
+    best, so forbidding each pair in turn finds them all.  Contested chains
+    are re-matched among their columns by eigenvalue proximity.
+    """
+    rows, cols = linear_sum_assignment(mac, maximize=True)
+    best = mac[rows, cols].sum()
+    contested = np.zeros(cols.size, dtype=bool)
+    for i in range(cols.size if cols.size > 1 else 0):  # one chain has no alternative
+        forbidden = mac.copy()
+        forbidden[i, cols[i]] = -np.inf
+        _, alt = linear_sum_assignment(forbidden, maximize=True)
+        if best - mac[rows, alt].sum() <= mac_gap:
+            contested |= alt != cols
+    idx = np.flatnonzero(contested)
+    if idx.size:
+        _, order = linear_sum_assignment(np.abs(lam_prev[idx, None] - lam_next[None, cols[idx]]))
+        cols[idx] = cols[idx][order]
+    return cols, idx
+
+
+def pair_modes(db: ModeDatabase, mac_gap: float = 0.01) -> ModeDatabase:
+    """Match modes across consecutive samples by the assignment of maximum total MAC.
+
+    Each sample gap is an assignment problem on the mass-weighted MAC values
+    between the chains so far and the next sample's modes, solved optimally by
+    the Hungarian method.  A gap is degenerate when another assignment scores
+    within ``mac_gap`` of the best: the chains the two disagree on are
+    re-matched by eigenvalue proximity and a warning is recorded.  Every sample
+    gap where the match disagrees with plain eigenvalue ordering is listed in
+    ``crossing_gaps``.  Only samples whose order changes are copied.
     """
     if db.paired:
         raise ValueError("database is already paired")
-    F = db.mass_factor
-    m = db.m
+    m, p = db.m, db.p
+    weighted = _weight_modes(db.mass_factor, db.right).transpose(2, 1, 0)  # (p, m, n)
+    # macs[k, a, b]: MAC of mode a at sample k against mode b at sample k + 1
+    macs = np.abs(weighted[:-1].conj() @ weighted[1:].transpose(0, 2, 1)) ** 2
 
-    new_samples = [db.samples[0]]
+    # perms[k, i]: eigenvalue-order column of chain i at sample k
+    perms = np.empty((p, m), dtype=int)
+    perms[0] = np.arange(m)
     crossings: list[int] = []
     warnings: list[str] = list(db.warnings)
-
-    prev = db.samples[0]
-    # eigenvalue-order rank of each chain within the current sample
-    ranks = np.arange(m)
-    for k in range(db.p - 1):
-        nxt = db.samples[k + 1]
-        wa = _weight(F, prev.right_modes)
-        wb = _weight(F, nxt.right_modes)
-        macmat = np.abs(wa.conj().T @ wb) ** 2
-
-        work = macmat.copy()
-        perm = np.full(m, -1)
-        for _ in range(m):
-            best = np.unravel_index(np.argmax(work), work.shape)
-            vmax = work[best]
-            # ambiguity means candidates competing for the same mode: only
-            # entries sharing the row or column of the maximum contest it
-            near = [
-                (i, j)
-                for i, j in np.argwhere(work >= vmax - mac_gap)
-                if i == best[0] or j == best[1]
-            ]
-            if len(near) > 1:
-                i_sel, j_sel = min(
-                    near,
-                    key=lambda ij: abs(prev.eigenvalues[ij[0]] - nxt.eigenvalues[ij[1]]),
-                )
-                warnings.append(
-                    f"degenerate pairing between samples {k} and {k + 1}: "
-                    f"{len(near)} candidates within {mac_gap} of MAC {vmax:.4f}; "
-                    "eigenvalue proximity applied"
-                )
-            else:
-                i_sel, j_sel = best
-            perm[i_sel] = j_sel
-            work[i_sel, :] = -np.inf
-            work[:, j_sel] = -np.inf
-
-        # a crossing is a gap where a chain changes its eigenvalue-order rank
-        if not np.array_equal(perm, ranks):
-            crossings.append(k)
-        ranks = perm
-        paired_sample = ModeSample(
-            nxt.mu,
-            nxt.eigenvalues[perm],
-            nxt.right_modes[:, perm],
-            None if nxt.left_modes is None else nxt.left_modes[:, perm],
+    for k in range(p - 1):
+        cols, contested = _match_gap(
+            macs[k][perms[k]], db.eigenvalues[perms[k], k], db.eigenvalues[:, k + 1], mac_gap
         )
-        new_samples.append(paired_sample)
-        prev = paired_sample
+        if contested.size:
+            warnings.append(
+                f"degenerate pairing between samples {k} and {k + 1}: chains "
+                f"{contested.tolist()} have an assignment within {mac_gap} of the best "
+                "total MAC; eigenvalue proximity applied"
+            )
+        # a crossing is a gap where a chain changes its eigenvalue-order rank
+        if not np.array_equal(cols, perms[k]):
+            crossings.append(k)
+        perms[k + 1] = cols
+
+    moved = np.flatnonzero(np.any(perms != np.arange(m), axis=1))
+
+    def permuted(modes):
+        if modes is None or not moved.size:
+            return modes
+        out = modes.copy(order="F")
+        out[:, :, moved] = modes[:, perms[moved].T, moved]
+        return out
 
     return replace(
         db,
-        samples=tuple(new_samples),
+        eigenvalues=db.eigenvalues[perms.T, np.arange(p)],
+        right=permuted(db.right),
+        left=permuted(db.left),
         paired=True,
         crossing_gaps=tuple(crossings),
         warnings=tuple(warnings),
@@ -261,35 +293,27 @@ def align_signs(db: ModeDatabase) -> ModeDatabase:
         raise ValueError("pair the database before aligning")
     if db.is_complex:
         raise ValueError("database holds complex modes: use align_phases")
-    F = db.mass_factor
+    weighted = _weight_modes(db.mass_factor, db.right)
+    # inner[i, k]: product of chain i's raw modes at samples k and k + 1
+    inner = np.einsum("nik,nik->ik", weighted[:, :, :-1], weighted[:, :, 1:])
 
-    rights = [s.right_modes.copy() for s in db.samples]
-    lefts = [None if s.left_modes is None else s.left_modes.copy() for s in db.samples]
-    warnings = list(db.warnings)
+    first = db.right[:, :, 0]
+    signs = np.empty((db.m, db.p))
+    signs[:, 0] = np.where(first[np.argmax(np.abs(first), axis=0), np.arange(db.m)] < 0, -1.0, 1.0)
+    for k in range(db.p - 1):
+        signs[:, k + 1] = np.where(signs[:, k] * inner[:, k] < 0.0, -1.0, 1.0)
+    warnings = list(db.warnings) + [
+        f"orthogonal neighbors for mode chain {i} between samples {k} and {k + 1}; sign kept"
+        for i, k in np.argwhere(inner == 0.0).tolist()
+    ]
 
-    for i in range(db.m):
-        first = rights[0][:, i]
-        if first[np.argmax(np.abs(first))] < 0:
-            rights[0][:, i] = -first
-            if lefts[0] is not None:
-                lefts[0][:, i] = -lefts[0][:, i]
-        for k in range(db.p - 1):
-            a = float(_weight(F, rights[k][:, i]) @ _weight(F, rights[k + 1][:, i]))
-            if a == 0.0:
-                warnings.append(
-                    f"orthogonal neighbors for mode chain {i} between samples "
-                    f"{k} and {k + 1}; sign kept"
-                )
-            elif a < 0.0:
-                rights[k + 1][:, i] = -rights[k + 1][:, i]
-                if lefts[k + 1] is not None:
-                    lefts[k + 1][:, i] = -lefts[k + 1][:, i]
-
-    samples = tuple(
-        ModeSample(s.mu, s.eigenvalues, r, l)
-        for s, r, l in zip(db.samples, rights, lefts)
+    return replace(
+        db,
+        right=np.multiply(db.right, signs, order="F"),
+        left=None if db.left is None else np.multiply(db.left, signs, order="F"),
+        aligned=True,
+        warnings=tuple(warnings),
     )
-    return replace(db, samples=samples, aligned=True, warnings=tuple(warnings))
 
 
 def align_phases(db: ModeDatabase) -> ModeDatabase:
@@ -303,37 +327,23 @@ def align_phases(db: ModeDatabase) -> ModeDatabase:
     """
     if not db.paired:
         raise ValueError("pair the database before aligning")
-    F = db.mass_factor
-
-    rights = [s.right_modes.astype(complex).copy() for s in db.samples]
-    lefts = [
-        None if s.left_modes is None else s.left_modes.astype(complex).copy()
-        for s in db.samples
+    weighted = _weight_modes(db.mass_factor, db.right)
+    # overlap[i, k]: product of chain i's modes at the first sample and at sample k
+    overlap = np.einsum("ni,nik->ik", weighted[:, :, 0].conj(), weighted)
+    rotation = np.exp(-1j * np.angle(overlap))  # angle(0) = 0 keeps the phase
+    rotation[:, 0] = 1.0
+    warnings = list(db.warnings) + [
+        f"mode chain {i} at sample {k + 1} is orthogonal to the first sample; phase kept"
+        for i, k in np.argwhere(overlap[:, 1:] == 0.0).tolist()
     ]
-    warnings = list(db.warnings)
 
-    for i in range(db.m):
-        w_ref = _weight(F, rights[0][:, i])
-        for k in range(1, db.p):
-            c = np.vdot(w_ref, _weight(F, rights[k][:, i]))
-            if c == 0.0:
-                warnings.append(
-                    f"mode chain {i} at sample {k} is orthogonal to the first "
-                    "sample; phase kept"
-                )
-                continue
-            theta = -np.angle(c)
-            if theta != 0.0:
-                rot = np.exp(1j * theta)
-                rights[k][:, i] = rot * rights[k][:, i]
-                if lefts[k] is not None:
-                    lefts[k][:, i] = rot * lefts[k][:, i]
-
-    samples = tuple(
-        ModeSample(s.mu, s.eigenvalues.astype(complex), r, l)
-        for s, r, l in zip(db.samples, rights, lefts)
+    return replace(
+        db,
+        right=np.multiply(db.right, rotation, order="F"),
+        left=None if db.left is None else np.multiply(db.left, rotation, order="F"),
+        aligned=True,
+        warnings=tuple(warnings),
     )
-    return replace(db, samples=samples, aligned=True, warnings=tuple(warnings))
 
 
 def align_database(db: ModeDatabase) -> ModeDatabase:
@@ -360,19 +370,22 @@ def mode_at(sys: FullOrderSystem, db: ModeDatabase, i: int, mu: float) -> np.nda
     if not (np.iscomplexobj(A) or np.iscomplexobj(mass)):
         pairs = [pr for pr in pairs if pr.eigenvalue.imag >= 0.0]
 
-    E = None if db.mass_factor is None else db.mass
+    F = db.mass_factor
+
+    def mass_times(x):  # E x as Fᵀ(F x): two matrix-vector products
+        return x if F is None else F.T @ (F @ x)
+
     nearest = int(np.argmin(np.abs(db.mus - mu)))
-    ref = db.samples[nearest].right_modes[:, i]
-    phi = max((pr.right_vector for pr in pairs), key=lambda v: mac(ref, v, E))
+    candidates = np.column_stack([pr.right_vector for pr in pairs])
+    ref = mass_times(db.right[:, i, nearest])
+    phi = candidates[:, np.argmax(np.abs(ref.conj() @ candidates))]
 
     if db.is_complex:
-        first = db.samples[0].right_modes[:, i]
-        c = np.vdot(first, phi) if E is None else np.vdot(first, E @ phi)
+        c = np.vdot(mass_times(db.right[:, i, 0]), phi)
         if c != 0.0:
             phi = phi.astype(complex) * np.exp(-1j * np.angle(c))
     else:
-        a = np.real(np.vdot(ref, phi) if E is None else np.vdot(ref, E @ phi))
-        if a < 0.0:
+        if np.real(np.vdot(ref, phi)) < 0.0:
             phi = -phi
         phi = np.real_if_close(phi, tol=1000)
     return phi
@@ -397,29 +410,25 @@ def database_from_modes(
     """
     mus = np.asarray(mus, dtype=float)
     if isinstance(modes, np.ndarray) and modes.ndim == 3:
-        blocks = [modes[:, :, k] for k in range(modes.shape[2])]
+        right = modes
     else:
-        blocks = [np.asarray(b) for b in modes]
-    if len(blocks) != mus.size:
-        raise ValueError(f"{len(blocks)} mode blocks for {mus.size} parameters")
-    m = blocks[0].shape[1]
+        right = np.stack([np.asarray(b) for b in modes], axis=2)
+    if right.shape[2] != mus.size:
+        raise ValueError(f"{right.shape[2]} mode blocks for {mus.size} parameters")
+    m = right.shape[1]
 
     factor = None if mass is None else _identity_mass_factor(np.asarray(mass))
     if eigenvalues is None:
         eigenvalues = np.tile(-np.arange(1, m + 1, dtype=complex)[:, None], (1, mus.size))
-    eigenvalues = np.asarray(eigenvalues, dtype=complex)
-
-    samples = []
-    for k, mu in enumerate(mus):
-        block = blocks[k]
-        if normalize:
-            wb = _weight(factor, block)
-            block = block / np.sqrt(np.real(np.sum(wb.conj() * wb, axis=0)))
-        samples.append(ModeSample(float(mu), eigenvalues[:, k].copy(), block))
+    if normalize:
+        weighted = _weight_modes(factor, right)
+        right = right / np.sqrt(np.real(np.sum(weighted.conj() * weighted, axis=0)))
     return ModeDatabase(
-        samples=tuple(samples),
+        mus=mus,
+        eigenvalues=eigenvalues,
+        right=right,
+        left=None,
         mass_factor=factor,
-        m=m,
         paired=paired,
         aligned=aligned,
         metadata=metadata or {},
@@ -463,16 +472,16 @@ def synthetic_wide_database(n: int, mus, m: int, seed: int = 0) -> ModeDatabase:
     amp_sin = 0.3 * rng.standard_normal((m, n_dev))
     amp_lin = 0.3 * rng.standard_normal((m, n_dev))
 
-    blocks = []
-    for mu in mus:
+    modes = np.empty((n, m, mus.size), order="F")
+    for k, mu in enumerate(mus):
         t = (mu - mus[0]) / span
         coeff = amp_sin * np.sin(2.0 * np.pi * t) + amp_lin * t
         block = base + dev @ coeff.T
         block /= np.linalg.norm(block, axis=0)
-        blocks.append(block)
+        modes[:, :, k] = block
     db = database_from_modes(
         mus,
-        blocks,
+        modes,
         paired=True,
         metadata={
             "generator": {

@@ -75,15 +75,14 @@ def build_rom_at_sample(db: ModeDatabase, mu: float, m: int, equilibrium) -> Rom
         raise ValueError(f"mu={mu} is not a sampled parameter of the database")
     if not 1 <= m <= db.m:
         raise ValueError(f"mode count {m} out of range [1, {db.m}]")
-    sample = db.samples[k]
-    basis = sample.right_modes[:, :m]
-    adjoint = basis if sample.left_modes is None else sample.left_modes[:, :m]
+    basis = db.right[:, :m, k]
+    adjoint = basis if db.left is None else db.left[:, :m, k]
     eq = np.zeros(db.n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
     return Rom(
         mu=float(mus[k]),
         basis=basis,
         adjoint=adjoint,
-        eigenvalues=sample.eigenvalues[:m],
+        eigenvalues=db.eigenvalues[:m, k],
         equilibrium=eq,
         mass_factor=db.mass_factor,
         biorth_defect=_biorth_defect(adjoint, basis, db.mass_factor),
@@ -118,10 +117,9 @@ def build_rom_interpolated(
         raise ValueError(f"unknown strategy {strategy!r}")
     mus = db.mus
 
-    lam_rows = np.column_stack([s.eigenvalues[:m] for s in db.samples])
-    eigenvalues = np.atleast_1d(interpolate_columns(mus, lam_rows, mu, eigenvalue_scheme))
+    eigenvalues = np.atleast_1d(interpolate_columns(mus, db.eigenvalues[:m], mu, eigenvalue_scheme))
 
-    has_left = db.samples[0].left_modes is not None
+    has_left = db.left is not None
     if strategy == "direct":
         basis = np.column_stack(
             [interpolate_columns(mus, db.right_block(i), mu, mode_scheme) for i in range(m)]
@@ -258,10 +256,11 @@ def simulate_full(sys: FullOrderSystem, mu: float, x0, times, max_dense: int = 2
 
 
 def solution_interpolation(roms, mu: float, x0, times, scheme: str = "linear") -> Trajectory:
-    """Simulate every sampled ROM and interpolate the trajectories at μ.
+    """Interpolate the trajectories of the sampled ROMs at μ.
 
-    The baseline strategy: per query it costs p reduced simulations plus a
-    componentwise interpolation of full-state snapshots.
+    The baseline strategy: each ROM with a nonzero interpolation weight at μ
+    is simulated (two for linear interpolation, all p for cubic) and the
+    full-state snapshots are summed with those weights.
     """
     times = _check_times(times)
     roms = sorted(roms, key=lambda r: r.mu)
@@ -272,10 +271,8 @@ def solution_interpolation(roms, mu: float, x0, times, scheme: str = "linear") -
     if any(r.basis.shape[0] != n for r in roms):
         raise ValueError("all ROMs must share the state dimension")
 
-    snapshots = np.column_stack(
-        [simulate_rom(r, x0, times).states.ravel() for r in roms]
-    )
-    states = interpolate_columns(mus, snapshots, mu, scheme).reshape(n, times.size)
+    weights = interpolate_columns(mus, np.eye(mus.size), mu, scheme)
+    states = sum(weights[k] * simulate_rom(roms[k], x0, times).states for k in np.flatnonzero(weights))
     return Trajectory(times, states)
 
 
@@ -301,7 +298,7 @@ def trajectory_error(reference: Trajectory, test: Trajectory, mass_factor=None):
 
 def default_horizon(db: ModeDatabase, factor: float = 5.0) -> float:
     """Horizon of ``factor`` characteristic times of the slowest mode at the first sample."""
-    rate = abs(db.samples[0].eigenvalues[0].real)
+    rate = abs(db.eigenvalues[0, 0].real)
     if rate == 0.0:
         raise ValueError("slowest eigenvalue has zero real part; specify a horizon")
     return factor / rate
@@ -394,9 +391,9 @@ def time_mode_construction(
     """Median per-query wall time to construct the m interpolated modes.
 
     The direct strategy interpolates m chains of n-dimensional vectors (the
-    per-chain blocks are pre-assembled outside the timed region, which favors
-    it); the deformation-based strategy interpolates r coefficients per chain
-    and reconstructs through a skinny matrix product.
+    per-chain blocks are views of the database, so nothing is copied per
+    query); the deformation-based strategy interpolates r coefficients per
+    chain and reconstructs through a skinny matrix product.
     """
     m = db.m if m is None else m
     mus = db.mus

@@ -20,7 +20,6 @@ from eigendeform.edm import (
 )
 from eigendeform.modal import (
     ModeDatabase,
-    ModeSample,
     align_phases,
     align_signs,
     bump_database,
@@ -160,11 +159,9 @@ def test_criterion_5_alignment_suite():
         rng = np.random.default_rng(seed)
 
         # sign corruption recovery and idempotence
-        corrupted = tuple(
-            ModeSample(s.mu, s.eigenvalues, s.right_modes * rng.choice([-1.0, 1.0], size=base.m))
-            for s in base.samples
-        )
-        fixed = align_signs(ModeDatabase(corrupted, F, base.m, paired=True))
+        flips = np.array([rng.choice([-1.0, 1.0], size=base.m) for _ in range(base.p)]).T
+        corrupted = ModeDatabase(base.mus, base.eigenvalues, base.right * flips, None, F, paired=True)
+        fixed = align_signs(corrupted)
         for i in range(base.m):
             for k in range(base.p - 1):
                 a = fixed.samples[k].right_modes[:, i] @ E @ fixed.samples[k + 1].right_modes[:, i]

@@ -60,6 +60,16 @@ class TestDatabaseRoundTrip:
         assert loaded.is_complex and loaded.samples[0].left_modes is not None
         assert_databases_equal(chain_db, loaded)
 
+    def test_sample_files_hold_the_array_slices(self, chain_db, tmp_path):
+        path = save_database(chain_db, tmp_path / "db")
+        for k in range(chain_db.p):
+            right = (path / f"right_modes_{k:03d}.bin").read_bytes()
+            left = (path / f"left_modes_{k:03d}.bin").read_bytes()
+            assert right == chain_db.right[:, :, k].tobytes(order="F")
+            assert left == chain_db.left[:, :, k].tobytes(order="F")
+        loaded = load_database(path)
+        assert loaded.right.flags.f_contiguous and loaded.left.flags.f_contiguous
+
     def test_identity_mass_survives(self, tmp_path):
         db = bump_database(24, 2.0, np.linspace(0.1, 0.9, 5))
         save_database(db, tmp_path / "db")

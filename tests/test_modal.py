@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eigendeform.modal import (
     ModeDatabase,
-    ModeSample,
     align_database,
     align_phases,
     align_signs,
@@ -21,6 +25,7 @@ from eigendeform.systems import (
     SecondOrderSystem,
     first_order_form,
     heat_rod,
+    spring_chain_with_defect,
 )
 
 
@@ -33,6 +38,13 @@ def rod_db():
 @pytest.fixture(scope="module")
 def prepared_rod_db(rod_db):
     return align_signs(pair_modes(rod_db))
+
+
+@pytest.fixture(scope="module")
+def chain_db():
+    """Raw complex database with left modes and one crossing (gap 4)."""
+    fos = first_order_form(spring_chain_with_defect(6, k_defect=0.5))
+    return sample_spectrum(fos, np.linspace(0.5, 5.5, 9), 4)
 
 
 def crossing_system():
@@ -172,11 +184,15 @@ class TestPairModes:
 
     def test_within_sample_shuffle_gives_same_chains(self, rod_db):
         rng = np.random.default_rng(7)
-        shuffled = []
-        for s in rod_db.samples:
-            perm = rng.permutation(rod_db.m)
-            shuffled.append(ModeSample(s.mu, s.eigenvalues[perm], s.right_modes[:, perm]))
-        db_b = ModeDatabase(tuple(shuffled), rod_db.mass_factor, rod_db.m)
+        perms = np.array([rng.permutation(rod_db.m) for _ in range(rod_db.p)]).T
+        samples = np.arange(rod_db.p)
+        db_b = ModeDatabase(
+            rod_db.mus,
+            rod_db.eigenvalues[perms, samples],
+            rod_db.right[:, perms, samples],
+            None,
+            rod_db.mass_factor,
+        )
         chains_a = pair_modes(rod_db)
         chains_b = pair_modes(db_b)
 
@@ -188,9 +204,116 @@ class TestPairModes:
 
         assert chain_set(chains_a) == chain_set(chains_b)
 
+    def test_uncontested_chain_keeps_mac_match(self):
+        e1, e2, e3 = np.eye(3)
+        mixed = np.column_stack([(e1 + e2) / np.sqrt(2), (e1 - e2) / np.sqrt(2), e3])
+        lam = np.array([[-1.0, -2.05], [-2.0, -0.95], [-3.0, -1.0]], dtype=complex)
+        paired = pair_modes(database_from_modes([0.0, 1.0], [np.eye(3), mixed], eigenvalues=lam))
+        # chains 0 and 1 share a plane, so eigenvalue proximity decides them;
+        # chain 2 keeps e3 by shape, though -1.0 lies nearest chain 0's -1
+        assert np.array_equal(paired.eigenvalues[:, 1], [-0.95, -2.05, -1.0])
+        assert np.array_equal(paired.right[:, 2, 1], e3)
+        assert [w for w in paired.warnings if w.startswith("degenerate pairing")] == [
+            "degenerate pairing between samples 0 and 1: chains [0, 1] have an assignment "
+            "within 0.01 of the best total MAC; eigenvalue proximity applied"
+        ]
+
     def test_refuses_paired_database(self, rod_db):
         with pytest.raises(ValueError):
             pair_modes(pair_modes(rod_db))
+
+
+class TestArrayLayout:
+    def test_chain_blocks_are_views(self, chain_db):
+        assert chain_db.right.flags.f_contiguous and chain_db.left.flags.f_contiguous
+        for i in range(chain_db.m):
+            assert np.shares_memory(chain_db.right_block(i), chain_db.right)
+            assert np.shares_memory(chain_db.left_block(i), chain_db.left)
+            assert np.array_equal(chain_db.right_block(i), chain_db.right[:, i, :])
+
+    def test_samples_are_views(self, chain_db):
+        for k, s in enumerate(chain_db.samples):
+            assert s.mu == chain_db.mus[k]
+            assert np.shares_memory(s.right_modes, chain_db.right)
+            assert np.shares_memory(s.left_modes, chain_db.left)
+            assert np.array_equal(s.eigenvalues, chain_db.eigenvalues[:, k])
+
+    def test_shapes_are_checked(self, rod_db):
+        mus, lam, right = rod_db.mus, rod_db.eigenvalues, rod_db.right
+        with pytest.raises(ValueError, match="increasing"):
+            ModeDatabase(mus[::-1], lam, right, None, None)
+        with pytest.raises(ValueError, match="eigenvalues"):
+            ModeDatabase(mus, lam[:, :-1], right, None, None)
+        with pytest.raises(ValueError, match="right modes"):
+            ModeDatabase(mus[:-1], lam[:, :-1], right, None, None)
+        with pytest.raises(ValueError, match="left modes"):
+            ModeDatabase(mus, lam, right, right[:, :-1], None)
+
+
+def _snapshot(db):
+    return [a.copy() for a in (db.mus, db.eigenvalues, db.right, db.left) if a is not None]
+
+
+def _unchanged(db, snapshot):
+    current = [a for a in (db.mus, db.eigenvalues, db.right, db.left) if a is not None]
+    return all(np.array_equal(a, b) for a, b in zip(current, snapshot, strict=True))
+
+
+class TestPassProperties:
+    """Invariants of the vectorized passes over random corruptions (derandomized, so repeatable)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(which=st.sampled_from(["rod", "chain"]), data=st.data())
+    def test_within_sample_permutation_gives_same_chains(self, rod_db, chain_db, which, data):
+        db = rod_db if which == "rod" else chain_db
+        orders = data.draw(st.lists(st.permutations(range(db.m)), min_size=db.p, max_size=db.p))
+        perms, samples = np.array(orders).T, np.arange(db.p)
+        shuffled = ModeDatabase(
+            db.mus,
+            db.eigenvalues[perms, samples],
+            db.right[:, perms, samples],
+            None if db.left is None else db.left[:, perms, samples],
+            db.mass_factor,
+        )
+        before = _snapshot(shuffled)
+        a, b = pair_modes(db), pair_modes(shuffled)
+        assert _unchanged(shuffled, before)
+        # chains start in the shuffled order of the first sample
+        first = perms[:, 0]
+        assert np.array_equal(b.eigenvalues, a.eigenvalues[first])
+        assert np.array_equal(b.right, a.right[:, first])
+        if db.left is not None:
+            assert np.array_equal(b.left, a.left[:, first])
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(flips=arrays(bool, (6, 8)))
+    def test_sign_flips_are_undone(self, prepared_rod_db, flips):
+        signs = np.where(flips, -1.0, 1.0)
+        db = prepared_rod_db
+        corrupted = replace(db, right=db.right * signs, aligned=False)
+        before = _snapshot(corrupted)
+        fixed = align_signs(corrupted)
+        assert _unchanged(corrupted, before)
+        assert np.array_equal(fixed.right, db.right)
+        again = align_signs(fixed)
+        assert np.array_equal(again.right, fixed.right)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(angles=arrays(float, (4, 9), elements=st.floats(0.0, 2.0 * np.pi)))
+    def test_random_phases_are_undone(self, chain_db, angles):
+        db = align_phases(pair_modes(chain_db))
+        rotation = np.exp(1j * angles)
+        corrupted = replace(db, right=db.right * rotation, left=db.left * rotation, aligned=False)
+        before = _snapshot(corrupted)
+        fixed = align_phases(corrupted)
+        assert _unchanged(corrupted, before)
+        # the first sample keeps its phase; every later one follows it
+        expected = rotation[:, :1]
+        assert np.max(np.abs(fixed.right - db.right * expected)) <= 1e-12
+        assert np.max(np.abs(fixed.left - db.left * expected)) <= 1e-12
+        again = align_phases(fixed)
+        assert np.max(np.abs(again.right - fixed.right)) <= 1e-14
+        assert np.max(np.abs(again.left - fixed.left)) <= 1e-14
 
 
 class TestAlignSigns:
@@ -211,11 +334,10 @@ class TestAlignSigns:
         E = base.mass
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            corrupted = []
-            for s in base.samples:
-                flips = rng.choice([-1.0, 1.0], size=base.m)
-                corrupted.append(ModeSample(s.mu, s.eigenvalues, s.right_modes * flips))
-            db = ModeDatabase(tuple(corrupted), base.mass_factor, base.m, paired=True)
+            flips = np.array([rng.choice([-1.0, 1.0], size=base.m) for _ in range(base.p)]).T
+            db = ModeDatabase(
+                base.mus, base.eigenvalues, base.right * flips, None, base.mass_factor, paired=True
+            )
             fixed = align_signs(db)
             for i in range(base.m):
                 for k in range(base.p - 1):

@@ -253,6 +253,31 @@ class TestBuildRomInterpolated:
 
 
 class TestSolutionInterpolation:
+    @pytest.mark.parametrize("scheme, max_calls", [("linear", 2), ("cubic", 8)])
+    def test_weighted_roms_match_all_rom_formula(self, rod_db, rod, monkeypatch, scheme, max_calls):
+        import eigendeform.rom as rom_module
+        from eigendeform.edm import interpolate_columns
+
+        x0 = equilibrium(rod, 100.0)
+        times = np.linspace(0.0, default_horizon(rod_db), 101)
+        xbar = equilibrium(rod, 10.0)
+        roms = [build_rom_at_sample(rod_db, mk, 6, xbar) for mk in rod_db.mus]
+        for mu in (rod_db.mus[0], 10.0, 0.5 * (rod_db.mus[3] + rod_db.mus[4]), rod_db.mus[-1]):
+            # the formula before only the weighted ROMs were simulated
+            snapshots = np.column_stack([simulate_rom(r, x0, times).states.ravel() for r in roms])
+            expected = interpolate_columns(rod_db.mus, snapshots, mu, scheme).reshape(rod.n, times.size)
+            calls = []
+
+            def counting(*args):
+                calls.append(args)
+                return simulate_rom(*args)
+
+            monkeypatch.setattr(rom_module, "simulate_rom", counting)
+            states = solution_interpolation(roms, mu, x0, times, scheme=scheme).states
+            monkeypatch.undo()
+            assert np.linalg.norm(states - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert 1 <= len(calls) <= max_calls
+
     def test_knot_returns_that_roms_trajectory(self, rod_db, rod):
         x0 = equilibrium(rod, 100.0)
         times = np.linspace(0.0, 1.0, 50)
