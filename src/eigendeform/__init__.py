@@ -28,6 +28,7 @@ from .numerics import (
     SpectralPair,
     cholesky_factor,
     generalized_eig,
+    slowest_eigenpairs,
     solve_linear,
     truncated_svd,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from pathlib import Path
@@ -41,13 +42,12 @@ def _out_path(args, default_name: str) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    io_mod._write_atomic(path, buf.getvalue().encode())
 
 
 def _build_system(db: modal.ModeDatabase) -> systems.FullOrderSystem:

@@ -4,7 +4,8 @@ A database is a directory holding ``manifest.json`` plus raw binary arrays:
 little-endian 64-bit floats in column-major order, complex values stored as
 interleaved (real, imaginary) pairs per element.  The mass matrix lives in
 ``E.coo`` as zero-based ``row col value`` lines, one per nonzero.  Every file
-is checksummed in the manifest and written atomically (temp file + rename).
+is checksummed in the manifest and written atomically (temp file, fsync,
+rename, then an fsync of the directory).
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -35,23 +37,82 @@ def _checksum(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    # a unique temp name per writer, so concurrent writers never share one
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+# fsyncs run on these threads, so that the disk works while the caller goes on
+# and concurrent fsyncs share journal commits; the threads start on first use
+_SYNC_POOL = ThreadPoolExecutor(max_workers=8, thread_name_prefix="eigendeform-fsync")
+
+
+def _fsync(path) -> None:
+    fd = os.open(path, os.O_RDONLY)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
-def _add_array(files: dict, arrays: dict, name: str, a: np.ndarray) -> None:
-    """Queue an array's column-major bytes for writing and record its manifest entry."""
+class _AtomicWrites:
+    """A batch of files in one directory, each replaced atomically and durably.
+
+    ``add`` writes a payload to a unique temp file in the directory, so
+    concurrent writers never share one, starts its fsync in the background
+    and returns the payload's checksum.  On a clean exit from the ``with``
+    block the batch waits for every fsync, renames the temp files over their
+    targets in the order they were added, then fsyncs the directory: a crash
+    leaves each file with its old or its new content, never an empty one.
+    When anything fails, every temp file not yet renamed is removed.
+    """
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+        self.pending: list[tuple[str, str, Future]] = []  # (name, temp path, its fsync)
+
+    def __enter__(self) -> _AtomicWrites:
+        return self
+
+    def add(self, name: str, data: bytes) -> str:
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=name)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        self.pending.append((name, tmp, _SYNC_POOL.submit(_fsync, tmp)))
+        return _checksum(data)  # hashed while the file syncs
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        wait([synced for _, _, synced in self.pending])
+        try:
+            if exc_type is None:
+                for _, _, synced in self.pending:
+                    synced.result()  # raises the error of a failed fsync
+                while self.pending:
+                    name, tmp, _ = self.pending[0]
+                    os.replace(tmp, self.directory / name)
+                    del self.pending[0]
+                _fsync(self.directory)
+        finally:
+            for _, tmp, _ in self.pending:
+                os.unlink(tmp)
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace one file atomically and durably (see _AtomicWrites)."""
+    with _AtomicWrites(path.parent) as batch:
+        batch.add(path.name, data)
+
+
+def _add_array(batch: _AtomicWrites, arrays: dict, name: str, a: np.ndarray) -> None:
+    """Write an array's column-major bytes and record its manifest entry."""
     is_complex = np.iscomplexobj(a)
-    files[name] = np.asarray(a, dtype="<c16" if is_complex else "<f8").tobytes(order="F")
-    arrays[name] = {"shape": list(a.shape), "complex": is_complex}
+    data = np.asarray(a, dtype="<c16" if is_complex else "<f8").tobytes(order="F")
+    arrays[name] = {"shape": list(a.shape), "complex": is_complex, "checksum": batch.add(name, data)}
+
+
+def _add_manifest(batch: _AtomicWrites, manifest: dict) -> None:
+    # added last, so renamed once every file it lists is durable; sorted keys
+    # keep repeated runs byte-identical
+    batch.add("manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
 def _coo_bytes(E: np.ndarray) -> bytes:
@@ -99,17 +160,6 @@ def _factor_from_coo(rows, cols, vals, n: int) -> np.ndarray | None:
     E = np.zeros((n, n))
     E[rows, cols] = vals
     return cholesky_factor(E)
-
-
-def _write_files(path: Path, files: dict[str, bytes], manifest: dict) -> None:
-    path.mkdir(parents=True, exist_ok=True)
-    entries = manifest["arrays"]
-    for name, data in files.items():
-        entries[name]["checksum"] = _checksum(data)
-        _write_atomic(path / name, data)
-    # sorted keys keep repeated runs byte-identical
-    payload = json.dumps(manifest, indent=2, sort_keys=True).encode()
-    _write_atomic(path / "manifest.json", payload)
 
 
 def _read_file(path: Path, arrays: dict, name: str) -> bytes:
@@ -162,35 +212,31 @@ def save_database(db: ModeDatabase, path) -> Path:
     if not np.any(eig_block.imag):
         eig_block = eig_block.real
 
-    files: dict[str, bytes] = {}
     arrays: dict[str, dict] = {}
-    _add_array(files, arrays, "eigenvalues.bin", eig_block)
-    for k in range(p):
-        _add_array(files, arrays, f"right_modes_{k:03d}.bin", db.right[:, :, k])
-        if db.left is not None:
-            _add_array(files, arrays, f"left_modes_{k:03d}.bin", db.left[:, :, k])
-    if db.mass_factor is None:
-        files["E.coo"] = _identity_coo_bytes(n)
-    else:
-        files["E.coo"] = _coo_bytes(db.mass)
-    arrays["E.coo"] = {"shape": [n, n], "complex": False}
-
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "mode-database",
-        "n": n,
-        "p": p,
-        "m": m,
-        "complex": db.is_complex,
-        "parameters": db.mus.tolist(),
-        "paired": db.paired,
-        "aligned": db.aligned,
-        "crossing_gaps": list(db.crossing_gaps),
-        "warnings": list(db.warnings),
-        "metadata": db.metadata,
-        "arrays": arrays,
-    }
-    _write_files(path, files, manifest)
+    path.mkdir(parents=True, exist_ok=True)
+    with _AtomicWrites(path) as batch:
+        _add_array(batch, arrays, "eigenvalues.bin", eig_block)
+        for k in range(p):
+            _add_array(batch, arrays, f"right_modes_{k:03d}.bin", db.right[:, :, k])
+            if db.left is not None:
+                _add_array(batch, arrays, f"left_modes_{k:03d}.bin", db.left[:, :, k])
+        coo = _identity_coo_bytes(n) if db.mass_factor is None else _coo_bytes(db.mass)
+        arrays["E.coo"] = {"shape": [n, n], "complex": False, "checksum": batch.add("E.coo", coo)}
+        _add_manifest(batch, {
+            "format_version": FORMAT_VERSION,
+            "kind": "mode-database",
+            "n": n,
+            "p": p,
+            "m": m,
+            "complex": db.is_complex,
+            "parameters": db.mus.tolist(),
+            "paired": db.paired,
+            "aligned": db.aligned,
+            "crossing_gaps": list(db.crossing_gaps),
+            "warnings": list(db.warnings),
+            "metadata": db.metadata,
+            "arrays": arrays,
+        })
     return path
 
 
@@ -232,29 +278,28 @@ def load_database(path) -> ModeDatabase:
 def save_edm_basis(basis: EdmBasis, path) -> Path:
     """Write a deformation-basis directory (manifest + binary arrays)."""
     path = Path(path)
-    files: dict[str, bytes] = {}
-    arrays: dict[str, dict] = {}
-    _add_array(files, arrays, "mean_mode.bin", basis.mean_mode)
-    _add_array(files, arrays, "edms.bin", basis.edms)
-    _add_array(files, arrays, "singular_values.bin", basis.singular_values)
-    _add_array(files, arrays, "coefficients.bin", basis.coefficients)
-
     s = basis.singular_values
     captured = None
     if s.size and s.sum() > 0:
         captured = energy_fraction(s, basis.rank)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "edm-basis",
-        "mode_index": basis.mode_index,
-        "n": int(basis.mean_mode.shape[0]),
-        "p": None if basis.sample_mus is None else int(basis.sample_mus.size),
-        "rank": basis.rank,
-        "energy_captured": captured,
-        "sample_mus": None if basis.sample_mus is None else basis.sample_mus.tolist(),
-        "arrays": arrays,
-    }
-    _write_files(path, files, manifest)
+    arrays: dict[str, dict] = {}
+    path.mkdir(parents=True, exist_ok=True)
+    with _AtomicWrites(path) as batch:
+        _add_array(batch, arrays, "mean_mode.bin", basis.mean_mode)
+        _add_array(batch, arrays, "edms.bin", basis.edms)
+        _add_array(batch, arrays, "singular_values.bin", basis.singular_values)
+        _add_array(batch, arrays, "coefficients.bin", basis.coefficients)
+        _add_manifest(batch, {
+            "format_version": FORMAT_VERSION,
+            "kind": "edm-basis",
+            "mode_index": basis.mode_index,
+            "n": int(basis.mean_mode.shape[0]),
+            "p": None if basis.sample_mus is None else int(basis.sample_mus.size),
+            "rank": basis.rank,
+            "energy_captured": captured,
+            "sample_mus": None if basis.sample_mus is None else basis.sample_mus.tolist(),
+            "arrays": arrays,
+        })
     return path
 
 

@@ -16,9 +16,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .numerics import (
     EigensolverError,
+    as_dense,
     cholesky_factor,
-    generalized_eig,
     is_symmetric,
+    slowest_eigenpairs,
 )
 from .systems import FullOrderSystem, traveling_bump_family
 
@@ -139,7 +140,9 @@ def mac(a: np.ndarray, b: np.ndarray, E: np.ndarray | None = None) -> float:
     return float(abs(inner) ** 2)
 
 
-def _identity_mass_factor(mass: np.ndarray) -> np.ndarray | None:
+def _identity_mass_factor(mass) -> np.ndarray | None:
+    """Dense Cholesky factor of a dense or sparse mass matrix; None for the identity."""
+    mass = as_dense(mass)
     if np.array_equal(mass, np.eye(mass.shape[0])):
         return None
     return cholesky_factor(mass)
@@ -153,6 +156,11 @@ def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
     complex-conjugate eigenpair with non-negative imaginary part is tracked;
     the conjugate is implied.  Left eigenvectors are stored whenever the
     operator is not symmetric.  The result is unpaired and unaligned.
+
+    Each sample goes through ``numerics.slowest_eigenpairs``: a real
+    symmetric pencil with 4 m <= n is solved for its m slowest modes only,
+    by sparse shift-invert with checked residuals and an inertia count;
+    any other pencil is solved in full, densely.
     """
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 1 or mus.size < 2:
@@ -162,25 +170,21 @@ def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
     if not 1 <= m <= sys.n:
         raise ValueError(f"mode count {m} out of range [1, {sys.n}]")
 
-    mass = np.asarray(sys.mass)
+    mass = sys.mass
     factor = _identity_mass_factor(mass)
-    real_pencil = not np.iscomplexobj(mass)
 
     eigenvalues = np.empty((m, mus.size), dtype=complex)
     rights, lefts = [], []
     for k, mu in enumerate(mus):
-        A = np.asarray(sys.operator_at(mu))
+        A = sys.operator_at(mu)
         try:
-            pairs = generalized_eig(A, mass, want_left=not is_symmetric(A))
+            pairs = slowest_eigenpairs(A, mass, m, want_left=not is_symmetric(A))
         except (EigensolverError, ValueError) as exc:
             raise EigensolverError(f"eigensolve failed at mu={mu}: {exc}") from exc
-        if real_pencil and not np.iscomplexobj(A):
-            pairs = [pr for pr in pairs if pr.eigenvalue.imag >= 0.0]
         if len(pairs) < m:
             raise ValueError(
                 f"only {len(pairs)} tracked modes available at mu={mu}, requested {m}"
             )
-        pairs = pairs[:m]
         eigenvalues[:, k] = [pr.eigenvalue for pr in pairs]
         rights.append(np.column_stack([pr.right_vector for pr in pairs]))
         if pairs[0].left_vector is not None:
@@ -354,21 +358,23 @@ def align_database(db: ModeDatabase) -> ModeDatabase:
 def mode_at(sys: FullOrderSystem, db: ModeDatabase, i: int, mu: float) -> np.ndarray:
     """Exact eigenmode of chain i at an arbitrary parameter, aligned to the database.
 
-    Solves the full eigenproblem at μ, picks the tracked mode with the largest
-    MAC against chain i at the nearest sampled parameter, and applies the same
-    sign (real) or phase (complex) convention the database uses.  Intended as
-    ground truth for interpolation error studies.
+    Solves for the 2m slowest tracked modes at μ (``slowest_eigenpairs``, so
+    a real symmetric pencil takes the partial path), picks the one with the
+    largest MAC against chain i at the nearest sampled parameter, and applies
+    the same sign (real) or phase (complex) convention the database uses.
+    The m extra candidates keep the match when a chain leaves the m slowest
+    between samples.  Intended as ground truth for interpolation error
+    studies.
     """
     if not db.aligned:
         raise ValueError("align the database before requesting reference modes")
     if not 0 <= i < db.m:
         raise ValueError(f"mode index {i} out of range [0, {db.m})")
 
-    mass = np.asarray(sys.mass)
-    A = np.asarray(sys.operator_at(mu))
-    pairs = generalized_eig(A, mass, want_left=False)
-    if not (np.iscomplexobj(A) or np.iscomplexobj(mass)):
-        pairs = [pr for pr in pairs if pr.eigenvalue.imag >= 0.0]
+    try:
+        pairs = slowest_eigenpairs(sys.operator_at(mu), sys.mass, min(2 * db.m, sys.n))
+    except (EigensolverError, ValueError) as exc:
+        raise EigensolverError(f"eigensolve failed at mu={mu}: {exc}") from exc
 
     F = db.mass_factor
 
@@ -417,7 +423,7 @@ def database_from_modes(
         raise ValueError(f"{right.shape[2]} mode blocks for {mus.size} parameters")
     m = right.shape[1]
 
-    factor = None if mass is None else _identity_mass_factor(np.asarray(mass))
+    factor = None if mass is None else _identity_mass_factor(mass)
     if eigenvalues is None:
         eigenvalues = np.tile(-np.arange(1, m + 1, dtype=complex)[:, None], (1, mus.size))
     if normalize:

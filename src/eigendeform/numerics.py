@@ -1,7 +1,8 @@
-"""Dense linear-algebra kernels with explicit accuracy contracts.
+"""Linear-algebra kernels with explicit accuracy contracts.
 
-All functions operate on plain numpy arrays, never mutate their inputs, and
-hold no state, so they are safe to call concurrently.
+The kernels take numpy arrays; ``solve_linear``, ``is_symmetric`` and
+``slowest_eigenpairs`` also take ``scipy.sparse`` matrices.  None mutates its
+inputs or holds state, so all are safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -9,7 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
+
+# slowest_eigenpairs takes the partial shift-invert path when 4 m <= n
+PARTIAL_FRACTION = 4
+# bound on the backward error ‖Aφ − λEφ‖ / ((‖A‖₁ + |λ| ‖E‖₁) ‖φ‖) of a partial eigenpair
+RESIDUAL_TOL = 1e-10
+# bound on max |ΦᵀEΦ − I| of the partial eigenvectors
+ORTHONORMALITY_TOL = 1e-10
 
 
 class LinearAlgebraError(ValueError):
@@ -53,21 +63,43 @@ class SpectralPair:
     left_vector: np.ndarray | None = None
 
 
-def _as_square(a, name: str) -> np.ndarray:
-    a = np.asarray(a)
+def _as_square(a, name: str, sparse: bool = False):
+    """``a`` as a square numpy array; with ``sparse``, a scipy.sparse ``a`` is kept as it is."""
+    if not (sparse and sp.issparse(a)):
+        a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinearAlgebraError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
 
 
-def is_symmetric(a: np.ndarray, rtol: float = 1e-12) -> bool:
-    """True when ``a`` is real and equals its transpose within ``rtol`` relative."""
+def as_dense(a) -> np.ndarray:
+    """``a`` as a numpy array, densifying a scipy.sparse matrix."""
+    return a.toarray() if sp.issparse(a) else np.asarray(a)
+
+
+def _sparse_norms(a) -> tuple[float, float]:
+    """Frobenius norms of a sparse ``a`` and of a − aᵀ, from its entries merged with its transpose's."""
+    a = a.tocsr()
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
+    cols = a.indices.astype(np.int64)
+    keys = np.concatenate([rows * n + cols, cols * n + rows])
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], np.concatenate([a.data, -a.data])[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return float(np.linalg.norm(a.data)), float(np.linalg.norm(np.add.reduceat(values, starts)))
+
+
+def is_symmetric(a, rtol: float = 1e-12) -> bool:
+    """True when ``a`` (dense or sparse) is real and equals its transpose within ``rtol`` relative."""
     if np.iscomplexobj(a):
         return False
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return True
-    return np.linalg.norm(a - a.T) <= rtol * scale
+    if sp.issparse(a):
+        scale, asymmetry = _sparse_norms(a) if a.nnz else (0.0, 0.0)
+    else:
+        scale = np.linalg.norm(a)
+        asymmetry = np.linalg.norm(a - a.T) if scale else 0.0
+    return scale == 0.0 or asymmetry <= rtol * scale
 
 
 def cholesky_factor(E, rtol: float = 1e-12) -> np.ndarray:
@@ -176,6 +208,131 @@ def generalized_eig(A, E, want_left: bool = False) -> list[SpectralPair]:
     return pairs
 
 
+def _symmetric_lu(M) -> spla.SuperLU:
+    """Sparse LU of a symmetric matrix with symmetric pivoting, P M Pᵀ = L U.
+
+    U = D Lᵀ with D = diag(U), so by Sylvester's law of inertia the signs of
+    diag(U) are the signs of M's eigenvalues.
+    """
+    try:
+        lu = spla.splu(
+            sp.csc_array(M), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+        raise SingularMatrixError(f"symmetric factorization failed: {exc}", rcond=0.0) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigensolverError("symmetric factorization needed an off-diagonal pivot: inertia unknown")
+    return lu
+
+
+def _norm1(a) -> float:
+    return float(abs(a).sum(axis=0).max())
+
+
+def _check_partial(A, E, w: np.ndarray, v: np.ndarray, m: int) -> None:
+    """Raise EigensolverError unless the m + 1 pairs (w, v) prove to hold the m slowest."""
+    Ev = E @ v
+    backward = np.linalg.norm(A @ v - Ev * w, axis=0) / (
+        (_norm1(A) + np.abs(w) * _norm1(E)) * np.linalg.norm(v, axis=0)
+    )
+    worst = int(np.argmax(backward))
+    if not backward[worst] <= RESIDUAL_TOL:
+        raise EigensolverError(
+            f"eigenpair {worst} (eigenvalue {w[worst]:.6g}) has backward error "
+            f"{backward[worst]:.2e} > {RESIDUAL_TOL:.0e}"
+        )
+    defect = float(np.max(np.abs(v.T @ Ev - np.eye(w.size))))
+    if not defect <= ORTHONORMALITY_TOL:
+        raise EigensolverError(
+            f"eigenvectors are not E-orthonormal: defect {defect:.2e} > {ORTHONORMALITY_TOL:.0e}"
+        )
+    tau = 0.5 * (w[m - 1] + w[m])
+    try:
+        above = int(np.count_nonzero(_symmetric_lu(A - tau * E).U.diagonal() > 0.0))
+    except SingularMatrixError:
+        above = None
+    if above != m:
+        raise EigensolverError(
+            f"inertia of A - tau E at tau={tau:.6g} counts {above} eigenvalues above tau, "
+            f"expected {m}: the {m} returned modes are not the slowest"
+        )
+
+
+def _partial_symmetric(A, E, m: int, want_left: bool) -> list[SpectralPair]:
+    n = A.shape[0]
+    A, E = sp.csc_array(A), sp.csc_array(E)
+    pivots = _symmetric_lu(E).U.diagonal()
+    if np.any(pivots <= 0.0):
+        raise IndefiniteMatrixError(
+            "matrix is not positive definite: a pivot of its LDLᵀ factorization is not positive",
+            pivot=int(np.flatnonzero(pivots <= 0.0)[0]),
+        )
+    # the shift starts a millionth of the diagonal scale above zero and grows
+    # until the inertia of A − σE puts it above every eigenvalue
+    scale = float(np.max(np.abs(A.diagonal() / E.diagonal())))
+    sigma = 1e-6 * (scale if scale > 0.0 else 1.0)
+    for _ in range(64):
+        try:
+            lu = _symmetric_lu(A - sigma * E)
+            if not np.any(lu.U.diagonal() > 0.0):
+                break
+        except SingularMatrixError:
+            pass
+        sigma *= 4.0
+    else:
+        raise EigensolverError("no shift above the spectrum found")
+
+    op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)  # fixed: repeated calls agree bitwise
+    try:
+        w, v = spla.eigsh(A, m + 1, M=E, sigma=sigma, which="LM", v0=v0, OPinv=op)
+    except spla.ArpackError as exc:
+        raise EigensolverError(f"ARPACK shift-invert solve failed: {exc}") from exc
+    order = np.argsort(-w, kind="stable")
+    w, v = w[order], v[:, order]
+    _check_partial(A, E, w, v, m)
+    return [
+        SpectralPair(complex(w[i]), v[:, i], v[:, i] if want_left else None) for i in range(m)
+    ]
+
+
+def slowest_eigenpairs(A, E, m: int, want_left: bool = False) -> list[SpectralPair]:
+    """The m eigenpairs of (A, E) with the largest real parts, ordered as by generalized_eig.
+
+    ``A`` and ``E`` may be dense or scipy.sparse.  A real symmetric pencil
+    with ``PARTIAL_FRACTION * m <= n`` takes the partial path: ARPACK in
+    shift-invert mode (scipy.sparse.linalg.eigsh) solves for the m + 1
+    slowest pairs from a fixed start vector, so repeated calls agree bitwise.
+    The shift sits above the whole spectrum, which an LDLᵀ inertia count of
+    A − σE confirms, so a singular A (an insulated rod) is never factored.
+    Before returning, the result must pass three checks, else
+    EigensolverError is raised: every pair has a backward error
+    ‖Aφ − λEφ‖ / ((‖A‖₁ + |λ|‖E‖₁)‖φ‖) at most RESIDUAL_TOL, the vectors
+    are E-orthonormal within ORTHONORMALITY_TOL, and the inertia of A − τE,
+    with τ midway between the m-th and (m+1)-th eigenvalue, counts exactly
+    m eigenvalues above τ, so no slower mode was missed.  A cut through a
+    multiple eigenvalue fails the last check.
+
+    Every other pencil is densified and solved in full by generalized_eig.
+    For a real pencil only the member of each complex-conjugate pair with
+    non-negative imaginary part is kept, so fewer than m pairs can come back.
+    """
+    A, E = _as_square(A, "A", sparse=True), _as_square(E, "E", sparse=True)
+    if A.shape != E.shape:
+        raise LinearAlgebraError(f"dimension mismatch: A is {A.shape}, E is {E.shape}")
+    n = A.shape[0]
+    if not 1 <= m <= n:
+        raise LinearAlgebraError(f"mode count {m} out of range [1, {n}]")
+    if PARTIAL_FRACTION * m <= n and is_symmetric(A) and is_symmetric(E):
+        return _partial_symmetric(A, E, m, want_left)
+    A, E = as_dense(A), as_dense(E)
+    pairs = generalized_eig(A, E, want_left=want_left)
+    if not (np.iscomplexobj(A) or np.iscomplexobj(E)):
+        pairs = [pr for pr in pairs if pr.eigenvalue.imag >= 0.0]
+    return pairs[:m]
+
+
 def truncated_svd(M, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-r singular value decomposition M ≈ U[:, :r] diag(s[:r]) Vh[:r].
 
@@ -193,19 +350,61 @@ def truncated_svd(M, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U[:, :r], s, Vh[:r, :]
 
 
+def _inverse_norm1(lu: spla.SuperLU, n: int, dtype) -> float:
+    """Lower estimate of ‖A⁻¹‖₁ from solves with A's LU factors (Hager's method, as LAPACK's xLACON)."""
+    x = np.full(n, 1.0 / n, dtype=dtype)
+    est = 0.0
+    for _ in range(5):
+        y = lu.solve(x)
+        if np.abs(y).sum() <= est:
+            break
+        est = float(np.abs(y).sum())
+        signs = np.ones_like(y)
+        nonzero = y != 0
+        signs[nonzero] = y[nonzero] / np.abs(y[nonzero])
+        z = lu.solve(signs, trans="H")
+        j = int(np.argmax(np.abs(z)))
+        if np.abs(z[j]) <= np.real(np.vdot(z, x)):
+            break
+        x = np.zeros(n, dtype=dtype)
+        x[j] = 1.0
+    # xLACON's alternating test vector catches matrices the iteration underrates
+    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))
+    return max(est, 2.0 * float(np.abs(lu.solve(alt.astype(dtype))).sum()) / (3.0 * n))
+
+
+def _solve_sparse(A, b: np.ndarray, dtype, rcond_floor: float) -> np.ndarray:
+    A = sp.csc_array(A, dtype=dtype)
+    try:
+        lu = spla.splu(A)
+    except RuntimeError:  # SuperLU met an exactly zero pivot
+        rcond = 0.0
+    else:
+        rcond = 1.0 / (_norm1(A) * _inverse_norm1(lu, A.shape[0], dtype))
+    if rcond < rcond_floor:
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (rcond ≈ {rcond:.2e})",
+            rcond=rcond,
+        )
+    return lu.solve(b.astype(dtype, copy=False))
+
+
 def solve_linear(A, b, rcond_floor: float = 1e-14) -> np.ndarray:
-    """Solve Ax = b by LU with partial pivoting.
+    """Solve Ax = b by LU with partial pivoting; a scipy.sparse A gets a sparse LU.
 
     Raises SingularMatrixError when the reciprocal condition estimate falls
-    below ``rcond_floor``.
+    below ``rcond_floor``: LAPACK's for a dense A, Hager's 1-norm estimate
+    from the sparse factors otherwise.
     """
-    A = _as_square(A, "A")
+    A = _as_square(A, "A", sparse=True)
     b = np.asarray(b)
     if b.shape[0] != A.shape[0]:
         raise LinearAlgebraError(
             f"dimension mismatch: A is {A.shape}, b has leading dimension {b.shape[0]}"
         )
     dtype = np.result_type(A.dtype, b.dtype, np.float64)
+    if sp.issparse(A):
+        return _solve_sparse(A, b, dtype, rcond_floor)
     A = A.astype(dtype, copy=False)
     getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (A,))
     lu, piv, info = getrf(A, overwrite_a=0)

@@ -18,7 +18,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .edm import EdmBasis, interpolate_columns, interpolate_mode
 from .modal import ModeDatabase
-from .numerics import SingularMatrixError, generalized_eig, solve_linear
+from .numerics import SingularMatrixError, as_dense, generalized_eig, solve_linear
 from .systems import FullOrderSystem, equilibrium
 
 
@@ -197,8 +197,8 @@ def crank_nicolson(sys: FullOrderSystem, mu: float, x0, times, max_step=None) ->
     """
     times = _check_times(times)
     x0 = np.asarray(x0, dtype=float)
-    A = np.asarray(sys.operator_at(mu))
-    E = np.asarray(sys.mass)
+    A = as_dense(sys.operator_at(mu))
+    E = as_dense(sys.mass)
     b = np.asarray(sys.source_at(mu), dtype=float)
     if max_step is None:
         max_step = (times[-1] - times[0]) / 1e4
@@ -233,8 +233,8 @@ def simulate_full(sys: FullOrderSystem, mu: float, x0, times, max_dense: int = 2
     x0 = np.asarray(x0, dtype=float)
     xbar = equilibrium(sys, mu)
 
-    A = np.asarray(sys.operator_at(mu))
-    E = np.asarray(sys.mass)
+    A = as_dense(sys.operator_at(mu))
+    E = as_dense(sys.mass)
     try:
         pairs = generalized_eig(A, E)
         phi = np.column_stack([p.right_vector for p in pairs])

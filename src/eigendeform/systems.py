@@ -5,7 +5,7 @@ on a single scalar parameter: a finite-volume heat rod whose right-end film
 coefficient is the parameter, and an anchored spring chain with a movable
 stiffness defect.  A helper converts second-order mechanical systems to first
 order, and `equilibrium` computes the steady state used as linearization
-point.
+point.  Operators and mass matrices are ``scipy.sparse`` CSR arrays.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .numerics import SingularMatrixError, solve_linear
 
@@ -25,17 +26,49 @@ class EquilibriumError(ValueError):
     """The steady state A(μ) x̄ = −b is not defined (singular operator)."""
 
 
+def _diagonal(values: np.ndarray) -> sp.csr_array:
+    n = values.size
+    return sp.csr_array((values, np.arange(n), np.arange(n + 1)), shape=(n, n))
+
+
+def _tridiagonal(sub: np.ndarray, diagonal: np.ndarray, sup: np.ndarray) -> sp.csr_array:
+    """n × n CSR array with the given sub-, main and super-diagonals, all 3n − 2 entries stored."""
+    n = diagonal.size
+    # row i holds (sub[i-1], diagonal[i], sup[i]), so its diagonal entry sits at 3i
+    data = np.empty(3 * n - 2)
+    data[0::3], data[1::3], data[2::3] = diagonal, sup, sub
+    indices = np.empty(3 * n - 2, dtype=np.int32)
+    indices[0::3], indices[1::3], indices[2::3] = np.arange(n), np.arange(1, n), np.arange(n - 1)
+    indptr = np.concatenate(([0], 3 * np.arange(1, n) - 1, [3 * n - 2])).astype(np.int32)
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+
+def _identity_over(B, identity_col: int, b_col: int) -> sp.csr_array:
+    """2n × 2n CSR array with I in the top n rows and B in the bottom n, at the given column offsets."""
+    B = sp.csr_array(B)
+    B.sum_duplicates()  # canonical rows: sorted columns, no repeats
+    n = B.shape[0]
+    data = np.concatenate((np.ones(n), B.data))
+    indices = np.concatenate((identity_col + np.arange(n), b_col + B.indices))
+    indptr = np.concatenate((np.arange(n), n + B.indptr))
+    return sp.csr_array((data, indices, indptr), shape=(2 * n, 2 * n))
+
+
 @dataclass(frozen=True)
 class FullOrderSystem:
     """First-order system E ẋ = A(μ) x + b(μ) on a closed parameter interval.
 
-    ``operator_at`` and ``source_at`` are reentrant maps μ -> array; the mass
-    matrix is parameter independent and symmetric positive definite.
+    ``operator_at`` is a reentrant map μ -> n × n matrix and ``source_at`` a
+    reentrant map μ -> (n,) array.  The bundled generators return the
+    operator and the mass as ``scipy.sparse`` CSR arrays (densify with
+    ``.toarray()``); hand-built systems may use dense arrays, which every
+    consumer accepts too.  The mass matrix is parameter independent and
+    symmetric positive definite.
     """
 
     n: int
-    mass: np.ndarray
-    operator_at: Callable[[float], np.ndarray]
+    mass: np.ndarray | sp.sparray
+    operator_at: Callable[[float], np.ndarray | sp.sparray]
     source_at: Callable[[float], np.ndarray]
     parameter_domain: tuple[float, float]
     metadata: dict = field(default_factory=dict)
@@ -43,10 +76,10 @@ class FullOrderSystem:
 
 @dataclass(frozen=True)
 class SecondOrderSystem:
-    """Mechanical system M ÿ = K(μ) y with M SPD and K negative semidefinite."""
+    """Mechanical system M ÿ = K(μ) y with M SPD and K negative semidefinite (dense or sparse)."""
 
-    mass: np.ndarray
-    stiffness_at: Callable[[float], np.ndarray]
+    mass: np.ndarray | sp.sparray
+    stiffness_at: Callable[[float], np.ndarray | sp.sparray]
     parameter_domain: tuple[float, float]
     metadata: dict = field(default_factory=dict)
 
@@ -68,7 +101,9 @@ def heat_rod(
     coefficient ``h_left``; the right end through μ.  ``heat_source`` is a
     uniform volumetric generation rate, entering the source vector per cell
     volume.  The operator is symmetric and, as soon as one end convects
-    (h_left + μ > 0), all eigenvalues of (A, E) are strictly negative.
+    (h_left + μ > 0), all eigenvalues of (A, E) are strictly negative.  It is
+    a tridiagonal CSR array of fixed pattern: each call copies it and writes
+    μ into A[-1, -1], the only entry that depends on the parameter.
     """
     if n < 3:
         raise GeneratorError(f"need at least 3 nodes, got {n}")
@@ -81,20 +116,16 @@ def heat_rod(
     g = conductivity / dx
     cells = np.full(n, dx)
     cells[0] = cells[-1] = dx / 2.0
-    mass = heat_capacity * np.diag(cells)
+    mass = _diagonal(heat_capacity * cells)
 
-    base = np.zeros((n, n))
-    for i in range(1, n - 1):
-        base[i, i - 1] = g
-        base[i, i] = -2.0 * g
-        base[i, i + 1] = g
-    base[0, 0] = -(g + h_left)
-    base[0, 1] = g
-    base[-1, -2] = g
+    diagonal = np.full(n, -2.0 * g)
+    diagonal[0] = -(g + h_left)
+    off = np.full(n - 1, g)
+    base = _tridiagonal(off, diagonal, off)
 
-    def operator_at(mu: float) -> np.ndarray:
+    def operator_at(mu: float) -> sp.csr_array:
         A = base.copy()
-        A[-1, -1] = -(g + mu)
+        A.data[-1] = -(g + mu)  # A[-1, -1] is the last stored entry
         return A
 
     def source_at(mu: float) -> np.ndarray:
@@ -135,7 +166,7 @@ def spring_chain_with_defect(
     midpoint at j - 1/2.  The spring whose midpoint lies nearest μ is assigned
     ``k_defect`` (ties resolved toward the lower index), which makes K(μ)
     piecewise constant in μ.  The convention M ÿ = K y makes K symmetric
-    negative definite.
+    negative definite.  K and M are tridiagonal and diagonal CSR arrays.
     """
     if n_mass < 2:
         raise GeneratorError(f"need at least 2 masses, got {n_mass}")
@@ -145,21 +176,17 @@ def spring_chain_with_defect(
         raise GeneratorError("defect stiffness must satisfy 0 < k_defect <= k_nominal")
 
     midpoints = np.arange(n_mass) + 0.5
-    M = mass * np.eye(n_mass)
+    M = _diagonal(np.full(n_mass, float(mass)))
 
-    def stiffness_at(mu: float) -> np.ndarray:
+    def stiffness_at(mu: float) -> sp.csr_array:
         if not 0.0 <= mu <= n_mass:
             raise GeneratorError(f"defect position {mu} outside the chain span [0, {n_mass}]")
         springs = np.full(n_mass, k_nominal)
         springs[int(np.argmin(np.abs(midpoints - mu)))] = k_defect
-        K = np.zeros((n_mass, n_mass))
-        K[0, 0] = springs[0]
-        for j in range(1, n_mass):
-            K[j - 1, j - 1] += springs[j]
-            K[j, j] += springs[j]
-            K[j - 1, j] -= springs[j]
-            K[j, j - 1] -= springs[j]
-        return -K
+        # spring j joins masses j - 1 and j; spring 0 joins mass 0 to the wall
+        diagonal = springs.copy()
+        diagonal[:-1] += springs[1:]
+        return _tridiagonal(springs[1:], -diagonal, springs[1:])
 
     meta = {
         "generator": {
@@ -180,17 +207,14 @@ def first_order_form(sys: SecondOrderSystem) -> FullOrderSystem:
     """Rewrite M ÿ = K(μ) y for the stacked state (y, ẏ).
 
     The result has mass [[I, 0], [0, M]], operator [[0, I], [K(μ), 0]] and a
-    zero source.  For symmetric negative definite K and SPD M the spectrum is
-    purely imaginary: undamped oscillations.
+    zero source, as CSR arrays.  For symmetric negative definite K and SPD M
+    the spectrum is purely imaginary: undamped oscillations.
     """
-    M = np.asarray(sys.mass)
-    n = M.shape[0]
-    eye = np.eye(n)
-    mass = np.block([[eye, np.zeros((n, n))], [np.zeros((n, n)), M]])
+    n = sys.mass.shape[0]
+    mass = _identity_over(sys.mass, 0, n)
 
-    def operator_at(mu: float) -> np.ndarray:
-        K = sys.stiffness_at(mu)
-        return np.block([[np.zeros((n, n)), eye], [K, np.zeros((n, n))]])
+    def operator_at(mu: float) -> sp.csr_array:
+        return _identity_over(sys.stiffness_at(mu), n, 0)
 
     def source_at(mu: float) -> np.ndarray:
         return np.zeros(2 * n)
@@ -206,8 +230,9 @@ def equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray:
     """Steady state x̄ with A(μ) x̄ = −b(μ).
 
     A zero source yields the trivial equilibrium; otherwise the linear system
-    is solved directly.  A singular operator (e.g. a fully insulated rod with
-    internal generation) has no steady state and raises EquilibriumError.
+    is solved directly, by a sparse LU for a sparse operator.  A singular
+    operator (e.g. a fully insulated rod with internal generation) has no
+    steady state and raises EquilibriumError.
     """
     b = np.asarray(sys.source_at(mu), dtype=float)
     if not np.all(np.isfinite(b)):

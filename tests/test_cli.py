@@ -1,11 +1,12 @@
 import csv
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
-from eigendeform.cli import main
+from eigendeform.cli import _write_csv, main
 from eigendeform.io import load_database, load_edm_basis
 
 
@@ -241,3 +242,30 @@ class TestEnvDefaultOut(object):
         monkeypatch.setenv("EIGENDEFORM_OUT", str(tmp_path))
         assert run("generate", "heat-rod", "--n", "12", "--mu-grid", "0:10:3", "--m", "2") == 0
         assert (tmp_path / "db" / "manifest.json").is_file()
+
+
+class TestWriteCsv:
+    ROWS = [(0.5, 1, -2.25, 0.0), (1.0, 2, 1e-300, -3.5)]
+    HEADER = ["mu (parameter)", "mode (1-based)", "re_lambda (1/time)", "im_lambda (1/time)"]
+
+    def test_bytes_match_a_plain_csv_writer(self, tmp_path):
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(self.HEADER)
+            writer.writerows(self.ROWS)
+        _write_csv(tmp_path / "out" / "table.csv", self.HEADER, self.ROWS)
+        assert (tmp_path / "out" / "table.csv").read_bytes() == expected.read_bytes()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "table.csv"
+        target.write_bytes(b"old")
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            _write_csv(target, self.HEADER, self.ROWS)
+        assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]
+        assert target.read_bytes() == b"old"

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import sys
 import threading
 
@@ -206,3 +208,78 @@ class TestAtomicWrite:
         assert errors == []
         assert target.read_bytes() in payloads
         assert [f.name for f in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_fsyncs_the_temp_file_before_the_rename_then_the_directory(self, tmp_path, monkeypatch):
+        target = tmp_path / "eigenvalues.bin"
+        target.write_bytes(b"old")
+        payload = b"new content"
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            if stat.S_ISDIR(st.st_mode):
+                synced.append(("dir", os.path.samestat(st, os.stat(tmp_path))))
+            else:  # the temp file, full and not yet renamed over the target
+                synced.append(("file", st.st_size == len(payload) and target.read_bytes() == b"old"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        _write_atomic(target, payload)
+        assert synced == [("file", True), ("dir", True)]
+        assert target.read_bytes() == payload
+
+    def test_database_save_syncs_every_file_before_renaming_the_manifest_last(
+        self, rod_db, tmp_path, monkeypatch
+    ):
+        events = []
+        lock = threading.Lock()  # files are synced from several threads
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            with lock:
+                events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = save_database(rod_db, tmp_path / "db")
+        names = sorted(f.name for f in path.iterdir())
+        n = len(names)
+        assert events[:n] == ["file"] * n
+        assert sorted(events[n:2 * n]) == names and events[2 * n - 1] == "manifest.json"
+        assert events[2 * n:] == ["dir"]
+
+    def test_failed_write_leaves_the_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "manifest.json"
+        target.write_bytes(b"old")
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            _write_atomic(target, b"new")
+        assert [f.name for f in tmp_path.iterdir()] == ["manifest.json"]
+        assert target.read_bytes() == b"old"
+
+    def test_failed_database_save_keeps_the_old_files_and_no_temp_file(
+        self, rod_db, chain_db, tmp_path, monkeypatch
+    ):
+        path = save_database(rod_db, tmp_path / "db")
+        before = {f.name: f.read_bytes() for f in path.iterdir()}
+        real_fsync = os.fsync
+
+        def failing_fsync(fd):
+            if not stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError("disk full")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            save_database(chain_db, path)
+        assert {f.name: f.read_bytes() for f in path.iterdir()} == before

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,7 +20,8 @@ from eigendeform.modal import (
     sample_spectrum,
     synthetic_wide_database,
 )
-from eigendeform.numerics import EigensolverError
+from eigendeform import numerics
+from eigendeform.numerics import EigensolverError, cholesky_factor, generalized_eig, is_symmetric
 from eigendeform.systems import (
     FullOrderSystem,
     SecondOrderSystem,
@@ -114,6 +116,71 @@ class TestSampleSpectrum:
         for s in db.samples:
             assert np.all(s.eigenvalues.imag >= 0)
             assert s.left_modes is not None
+
+
+def dense_sample_spectrum(sys_, mus, m):
+    """The full dense eigensolve per sample that sample_spectrum did before its partial path."""
+    mass = sys_.mass.toarray()
+    eigenvalues, rights, lefts = [], [], []
+    for mu in mus:
+        A = sys_.operator_at(mu).toarray()
+        pairs = generalized_eig(A, mass, want_left=not is_symmetric(A))
+        pairs = [pr for pr in pairs if pr.eigenvalue.imag >= 0.0][:m]
+        eigenvalues.append([pr.eigenvalue for pr in pairs])
+        rights.append(np.column_stack([pr.right_vector for pr in pairs]))
+        if pairs[0].left_vector is not None:
+            lefts.append(np.column_stack([pr.left_vector for pr in pairs]))
+    left = np.stack(lefts, axis=2) if lefts else None
+    return np.array(eigenvalues).T, np.stack(rights, axis=2), left
+
+
+class TestSampleSpectrumPaths:
+    @pytest.mark.parametrize(
+        "make, mus, m",
+        [
+            (lambda: heat_rod(16, h_left=1.0), np.linspace(0.0, 28.0, 4), 16),  # m = n
+            (lambda: first_order_form(spring_chain_with_defect(12, mass=2.0)), np.linspace(0.5, 11.5, 7), 6),
+        ],
+        ids=["rod-m-equals-n", "complex-chain"],
+    )
+    def test_dense_path_databases_unchanged(self, make, mus, m, monkeypatch):
+        sys_ = make()
+        eigenvalues, right, left = dense_sample_spectrum(sys_, mus, m)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ARPACK was called")
+
+        monkeypatch.setattr(numerics.spla, "eigsh", forbidden)
+        db = sample_spectrum(sys_, mus, m)
+        assert np.array_equal(db.eigenvalues, eigenvalues)
+        assert np.array_equal(db.right, right)
+        assert (db.left is None) == (left is None)
+        if left is not None:
+            assert np.array_equal(db.left, left)
+        assert np.array_equal(db.mass_factor, cholesky_factor(sys_.mass.toarray()))
+
+    def test_partial_path_matches_dense_database(self, monkeypatch):
+        sys_ = heat_rod(200, h_left=1.0)
+        mus = np.linspace(0.0, 28.0, 5)
+        eigenvalues, right, _ = dense_sample_spectrum(sys_, mus, 6)
+        calls = []
+        monkeypatch.setattr(numerics, "generalized_eig", lambda *a, **k: calls.append(a))
+        db = sample_spectrum(sys_, mus, 6)
+        assert calls == [] and db.left is None
+        assert np.all(np.abs(db.eigenvalues - eigenvalues) <= 1e-9 * np.abs(eigenvalues))
+        E = sys_.mass.toarray()
+        signs = np.sign(np.einsum("nik,nj,jik->ik", db.right, E, right))
+        diff = db.right - signs * right
+        assert np.sqrt(np.einsum("nik,nj,jik->ik", diff, E, diff)).max() <= 1e-8
+
+    def test_failed_self_check_names_parameter(self, monkeypatch):
+        def wrong_modes(A, k, M, **kwargs):  # exact eigenpairs, but skipping the slowest mode
+            w, v = scipy.linalg.eigh(A.toarray(), M.toarray())
+            return w[::-1][1:k + 1], v[:, ::-1][:, 1:k + 1]
+
+        monkeypatch.setattr(numerics.spla, "eigsh", wrong_modes)
+        with pytest.raises(EigensolverError, match="mu=14.0.*inertia"):
+            sample_spectrum(heat_rod(40, h_left=1.0), np.array([14.0, 20.0]), 3)
 
 
 class TestMac:
@@ -479,6 +546,16 @@ class TestModeAt:
         sys_ = heat_rod(20, h_left=1.0)
         with pytest.raises(ValueError):
             mode_at(sys_, rod_db, 0, 1.0)
+
+    def test_partial_path_reproduces_stored_modes(self, monkeypatch):
+        sys_ = heat_rod(200, h_left=0.0)
+        db = align_signs(pair_modes(sample_spectrum(sys_, np.linspace(0.0, 28.0, 4), 6)))
+        monkeypatch.setattr(numerics, "generalized_eig", None)  # the dense solver must not run
+        E = sys_.mass.toarray()
+        for k in (0, 2):
+            for i in range(db.m):
+                diff = mode_at(sys_, db, i, db.mus[k]) - db.right[:, i, k]
+                assert np.sqrt(diff @ E @ diff) <= 1e-8
 
 
 class TestSyntheticDatabases:

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
+from eigendeform import numerics
 from eigendeform.numerics import (
+    EigensolverError,
     IndefiniteMatrixError,
     LinearAlgebraError,
     SingularMatrixError,
     SymmetryError,
     cholesky_factor,
     generalized_eig,
+    slowest_eigenpairs,
     solve_linear,
     truncated_svd,
 )
+from eigendeform.systems import first_order_form, heat_rod, spring_chain_with_defect
 
 
 def random_spd(rng, n, scale=1.0):
@@ -191,3 +197,185 @@ class TestSolveLinear:
             solve_linear(A, np.ones(2))
         assert err.value.rcond < 1e-14
         assert "rcond" in str(err.value)
+
+    def test_sparse_matches_dense(self):
+        sys_ = heat_rod(30, h_left=1.0)
+        A = sys_.operator_at(7.0)
+        b = np.random.default_rng(12).standard_normal(30)
+        x = solve_linear(A, b)
+        assert np.allclose(x, solve_linear(A.toarray(), b), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, length", [(5, 1.0), (7, 0.7), (800, 1.0)])
+    def test_sparse_singular_rod_reports_rcond(self, n, length):
+        # insulated ends: constants span the null space, exactly or up to round-off
+        A = heat_rod(n, length=length, h_left=0.0).operator_at(0.0)
+        with pytest.raises(SingularMatrixError) as err:
+            solve_linear(A, np.ones(n))
+        assert err.value.rcond < 1e-14
+
+    def test_sparse_near_singular_reports_rcond(self):
+        # the last pivot is round-off, not an exact zero, so the 1-norm estimate must catch it
+        A = sp.csr_array(np.array([[1.0, 2.0, 0.0], [2.0, 4.0 + 1e-15, 0.0], [0.0, 0.0, 3.0]]))
+        with pytest.raises(SingularMatrixError) as err:
+            solve_linear(A, np.ones(3))
+        assert 0.0 < err.value.rcond < 1e-14
+
+
+def use_no_dense_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense eigensolver was called")
+
+    monkeypatch.setattr(numerics, "generalized_eig", forbidden)
+
+
+def use_no_arpack(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ARPACK was called")
+
+    monkeypatch.setattr(numerics.spla, "eigsh", forbidden)
+
+
+def e_norm(E, x):
+    return float(np.sqrt(x @ (E @ x)))
+
+
+class TestSlowestEigenpairs:
+    @pytest.mark.parametrize("n", [50, 200, 800])
+    @pytest.mark.parametrize("mu", [0.0, 14.0, 28.0, 120.0])
+    @pytest.mark.parametrize("h_left", [0.0, 1.0])
+    def test_partial_path_matches_dense_oracle_on_heat_rod(self, n, mu, h_left):
+        sys_ = heat_rod(n, h_left=h_left)
+        A, E = sys_.operator_at(mu), sys_.mass
+        Ed = E.toarray()
+        dense = generalized_eig(A.toarray(), Ed)[:6]
+        ref = np.array([pr.eigenvalue.real for pr in dense])
+        pairs = slowest_eigenpairs(A, E, 6)
+        assert sp.issparse(A) and len(pairs) == 6
+        lam = np.array([pr.eigenvalue for pr in pairs])
+        assert np.all(lam.imag == 0.0)
+        # relative above |λ| = 1, absolute below: the insulated rod's slowest eigenvalue is 0, and
+        # the dense oracle itself is only accurate to eps ‖E⁻¹A‖ ≈ 6e-10 absolute at n = 800
+        assert np.all(np.abs(lam.real - ref) <= 1e-9 * np.maximum(np.abs(ref), 1.0))
+        for pr, d in zip(pairs, dense):
+            phi, want = pr.right_vector, d.right_vector
+            sign = 1.0 if phi @ (Ed @ want) >= 0 else -1.0
+            assert e_norm(Ed, phi - sign * want) <= 1e-8
+            assert pr.left_vector is None
+
+    def test_partial_path_skips_the_dense_solver(self, monkeypatch):
+        sys_ = heat_rod(60, h_left=0.0)
+        use_no_dense_solver(monkeypatch)
+        pairs = slowest_eigenpairs(sys_.operator_at(0.0), sys_.mass, 4, want_left=True)
+        assert all(np.array_equal(pr.left_vector, pr.right_vector) for pr in pairs)
+
+    def test_repeated_calls_agree_bitwise(self):
+        sys_ = heat_rod(300, h_left=1.0)
+        first = slowest_eigenpairs(sys_.operator_at(14.0), sys_.mass, 6)
+        second = slowest_eigenpairs(sys_.operator_at(14.0), sys_.mass, 6)
+        for a, b in zip(first, second):
+            assert a.eigenvalue == b.eigenvalue
+            assert np.array_equal(a.right_vector, b.right_vector)
+
+    def test_dense_input_takes_the_partial_path(self, monkeypatch):
+        sys_ = heat_rod(40, h_left=1.0)
+        A, E = sys_.operator_at(3.0), sys_.mass
+        sparse = slowest_eigenpairs(A, E, 5)
+        use_no_dense_solver(monkeypatch)
+        dense = slowest_eigenpairs(A.toarray(), E.toarray(), 5)
+        assert np.allclose([p.eigenvalue for p in dense], [p.eigenvalue for p in sparse], rtol=1e-12)
+
+    def test_shift_grows_above_positive_eigenvalues(self):
+        # spectrum 0, 1, ..., 99: the slowest modes are the largest, far above the first shift
+        n = 100
+        A = sp.diags_array(np.arange(n, dtype=float), format="csr")
+        pairs = slowest_eigenpairs(A, sp.diags_array(np.ones(n), format="csr"), 3)
+        assert np.allclose([p.eigenvalue.real for p in pairs], [99.0, 98.0, 97.0], rtol=1e-12)
+        for p, k in zip(pairs, (99, 98, 97)):
+            assert abs(abs(p.right_vector[k]) - 1.0) <= 1e-10
+
+    def test_m_equal_n_takes_the_dense_path(self, monkeypatch):
+        sys_ = heat_rod(12, h_left=1.0)
+        A, E = sys_.operator_at(5.0), sys_.mass
+        use_no_arpack(monkeypatch)
+        pairs = slowest_eigenpairs(A, E, 12)
+        dense = generalized_eig(A.toarray(), E.toarray())
+        assert [p.eigenvalue for p in pairs] == [p.eigenvalue for p in dense]
+        assert all(np.array_equal(p.right_vector, d.right_vector) for p, d in zip(pairs, dense))
+
+    def test_non_symmetric_pencil_takes_the_dense_path(self, monkeypatch):
+        fos = first_order_form(spring_chain_with_defect(20))
+        A, E = fos.operator_at(3.3), fos.mass
+        use_no_arpack(monkeypatch)
+        pairs = slowest_eigenpairs(A, E, 5, want_left=True)
+        tracked = [p for p in generalized_eig(A.toarray(), E.toarray(), want_left=True) if p.eigenvalue.imag >= 0]
+        assert len(pairs) == 5
+        for p, d in zip(pairs, tracked):
+            assert p.eigenvalue == d.eigenvalue
+            assert np.array_equal(p.right_vector, d.right_vector)
+            assert np.array_equal(p.left_vector, d.left_vector)
+
+    def test_mode_count_validated(self):
+        sys_ = heat_rod(10)
+        with pytest.raises(LinearAlgebraError):
+            slowest_eigenpairs(sys_.operator_at(1.0), sys_.mass, 0)
+        with pytest.raises(LinearAlgebraError):
+            slowest_eigenpairs(sys_.operator_at(1.0), sp.diags_array(np.ones(9)), 1)
+
+    def test_indefinite_mass_rejected(self):
+        n = 40
+        E = sp.diags_array(np.r_[np.ones(n - 1), -1.0], format="csr")
+        with pytest.raises(IndefiniteMatrixError):
+            slowest_eigenpairs(heat_rod(n).operator_at(1.0), E, 2)
+
+
+def dense_arpack(skip: int = 0, perturb: float = 0.0, duplicate: bool = False):
+    """An eigsh stand-in returning dense eigenpairs, optionally the wrong ones."""
+
+    def eigsh(A, k, M, **kwargs):
+        w, v = scipy.linalg.eigh(A.toarray(), M.toarray())
+        w, v = w[::-1][skip:skip + k].copy(), v[:, ::-1][:, skip:skip + k].copy()
+        v[0, 0] += perturb
+        if duplicate:
+            v[:, 1] = v[:, 0]
+            w[1] = w[0]
+        return w, v
+
+    return eigsh
+
+
+class TestPartialSelfChecks:
+    """The partial path checks its own result and raises instead of returning wrong modes."""
+
+    @pytest.fixture
+    def pencil(self):
+        sys_ = heat_rod(40, h_left=1.0)
+        return sys_.operator_at(10.0), sys_.mass
+
+    def test_stand_in_passes_when_it_returns_the_right_modes(self, pencil, monkeypatch):
+        expected = slowest_eigenpairs(*pencil, 4)
+        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack())
+        got = slowest_eigenpairs(*pencil, 4)
+        assert np.allclose([p.eigenvalue for p in got], [p.eigenvalue for p in expected], rtol=1e-10)
+
+    def test_missed_slowest_mode_fails_the_inertia_count(self, pencil, monkeypatch):
+        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(skip=1))
+        with pytest.raises(EigensolverError, match="inertia"):
+            slowest_eigenpairs(*pencil, 4)
+
+    def test_inaccurate_pair_fails_the_residual_check(self, pencil, monkeypatch):
+        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(perturb=1e-6))
+        with pytest.raises(EigensolverError, match="backward error"):
+            slowest_eigenpairs(*pencil, 4)
+
+    def test_repeated_pair_fails_the_orthonormality_check(self, pencil, monkeypatch):
+        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(duplicate=True))
+        with pytest.raises(EigensolverError, match="orthonormal"):
+            slowest_eigenpairs(*pencil, 4)
+
+    def test_arpack_failure_becomes_eigensolver_error(self, pencil, monkeypatch):
+        def failing(*args, **kwargs):
+            raise numerics.spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((40, 0)))
+
+        monkeypatch.setattr(numerics.spla, "eigsh", failing)
+        with pytest.raises(EigensolverError, match="ARPACK"):
+            slowest_eigenpairs(*pencil, 4)

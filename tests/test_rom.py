@@ -158,7 +158,7 @@ class TestSimulateFull:
         mu = 7.0
         xbar = equilibrium(rod, mu)
         horizon = 5.0 / abs(
-            max(np.linalg.eigvals(np.linalg.solve(rod.mass, rod.operator_at(mu))).real)
+            max(np.linalg.eigvals(np.linalg.solve(rod.mass.toarray(), rod.operator_at(mu).toarray())).real)
         )
         times = np.linspace(0.0, horizon, 100)
         traj = simulate_full(rod, mu, xbar, times)

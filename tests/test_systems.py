@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eigendeform.numerics import generalized_eig
 from eigendeform.systems import (
@@ -18,9 +19,9 @@ class TestHeatRod:
     def test_three_node_energy_balance(self):
         # half-cell balance written out by hand for n=3, L=1, k=1, rho*c=1, h_left=1
         sys_ = heat_rod(3, length=1.0, conductivity=1.0, heat_capacity=1.0, h_left=1.0)
-        assert np.allclose(sys_.mass, np.diag([0.25, 0.5, 0.25]))
+        assert np.allclose(sys_.mass.toarray(), np.diag([0.25, 0.5, 0.25]))
         mu = 3.7
-        A = sys_.operator_at(mu)
+        A = sys_.operator_at(mu).toarray()
         expected = np.array([[-3.0, 2.0, 0.0], [2.0, -4.0, 2.0], [0.0, 2.0, -(2.0 + mu)]])
         assert np.allclose(A, expected)
 
@@ -40,18 +41,50 @@ class TestHeatRod:
     def test_operator_symmetric_and_eigenvalues_negative(self):
         sys_ = heat_rod(50, h_left=1.0)
         for mu in (0.0, 4.0, 28.0):
-            A = sys_.operator_at(mu)
+            A = sys_.operator_at(mu).toarray()
             assert np.allclose(A, A.T)
-            lam = np.array([p.eigenvalue for p in generalized_eig(A, sys_.mass)])
+            lam = np.array([p.eigenvalue for p in generalized_eig(A, sys_.mass.toarray())])
             assert np.all(lam.real < 0)
 
     def test_slowest_eigenvalue_magnitude_grows_with_mu(self):
         sys_ = heat_rod(50, h_left=1.0)
         slowest = []
         for mu in np.linspace(0.0, 28.0, 8):
-            pairs = generalized_eig(sys_.operator_at(mu), sys_.mass)
+            pairs = generalized_eig(sys_.operator_at(mu).toarray(), sys_.mass.toarray())
             slowest.append(abs(pairs[0].eigenvalue.real))
         assert np.all(np.diff(slowest) > 0)
+
+    @pytest.mark.parametrize("n, length, h_left", [(3, 1.0, 1.0), (9, 0.7, 0.0), (200, 2.5, 3.0)])
+    def test_sparse_operator_equals_hand_written_dense(self, n, length, h_left):
+        conductivity, heat_capacity = 1.3, 0.9
+        sys_ = heat_rod(n, length=length, conductivity=conductivity, heat_capacity=heat_capacity, h_left=h_left)
+        dx = length / (n - 1)
+        g = conductivity / dx
+        cells = np.full(n, dx)
+        cells[0] = cells[-1] = dx / 2.0
+        base = np.zeros((n, n))
+        for i in range(1, n - 1):
+            base[i, i - 1] = g
+            base[i, i] = -2.0 * g
+            base[i, i + 1] = g
+        base[0, 0] = -(g + h_left)
+        base[0, 1] = g
+        base[-1, -2] = g
+        assert sp.issparse(sys_.mass) and np.array_equal(sys_.mass.toarray(), heat_capacity * np.diag(cells))
+        nnz = None
+        for mu in (0.0, 14.0, 120.0):
+            A = sys_.operator_at(mu)
+            expected = base.copy()
+            expected[-1, -1] = -(g + mu)
+            assert sp.issparse(A) and np.array_equal(A.toarray(), expected)
+            nnz = A.nnz if nnz is None else nnz
+            assert A.nnz == nnz  # one fixed pattern for every mu
+
+    def test_operator_calls_do_not_share_storage(self):
+        sys_ = heat_rod(6)
+        A = sys_.operator_at(1.0)
+        sys_.operator_at(50.0)
+        assert A.toarray()[-1, -1] == -(5.0 + 1.0)
 
     def test_input_validation(self):
         with pytest.raises(GeneratorError):
@@ -75,31 +108,52 @@ def spring_constants(K):
 class TestSpringChain:
     def test_two_mass_free_body(self):
         sys_ = spring_chain_with_defect(2, mass=1.0, k_nominal=1.0, k_defect=1.0)
-        K = sys_.stiffness_at(1.7)
+        K = sys_.stiffness_at(1.7).toarray()
         assert np.allclose(K, -np.array([[2.0, -1.0], [-1.0, 1.0]]))
 
     def test_equal_defect_is_invisible(self):
         sys_ = spring_chain_with_defect(5, k_nominal=2.0, k_defect=2.0)
-        K0 = sys_.stiffness_at(0.3)
+        K0 = sys_.stiffness_at(0.3).toarray()
         for mu in (1.2, 2.9, 4.6):
-            assert np.array_equal(sys_.stiffness_at(mu), K0)
+            assert np.array_equal(sys_.stiffness_at(mu).toarray(), K0)
 
     def test_symmetric_negative_definite(self):
         sys_ = spring_chain_with_defect(6, k_nominal=1.0, k_defect=0.4)
-        K = sys_.stiffness_at(2.2)
+        K = sys_.stiffness_at(2.2).toarray()
         assert np.allclose(K, K.T)
         assert np.all(np.linalg.eigvalsh(K) < 0)
 
     def test_crossing_one_midpoint_boundary_moves_the_defect_one_spring(self):
         sys_ = spring_chain_with_defect(6, k_nominal=1.0, k_defect=0.25)
         # midpoints at j + 0.5; decision boundary between springs 2 and 3 sits at 2.0
-        below = spring_constants(sys_.stiffness_at(1.9))
-        above = spring_constants(sys_.stiffness_at(2.1))
+        below = spring_constants(sys_.stiffness_at(1.9).toarray())
+        above = spring_constants(sys_.stiffness_at(2.1).toarray())
         assert np.argmin(below) == 1 and np.argmin(above) == 2
         changed = np.nonzero(~np.isclose(below, above))[0]
         assert set(changed) == {1, 2}
         # within one cell the assembly is constant
-        assert np.array_equal(sys_.stiffness_at(1.6), sys_.stiffness_at(1.9))
+        assert np.array_equal(sys_.stiffness_at(1.6).toarray(), sys_.stiffness_at(1.9).toarray())
+
+    @pytest.mark.parametrize("mu", [0.0, 2.2, 5.0])
+    def test_sparse_stiffness_equals_hand_written_dense(self, mu):
+        n_mass, k_nominal, k_defect = 5, 1.5, 0.3
+        sys_ = spring_chain_with_defect(n_mass, mass=2.0, k_nominal=k_nominal, k_defect=k_defect)
+        springs = np.full(n_mass, k_nominal)
+        springs[int(np.argmin(np.abs(np.arange(n_mass) + 0.5 - mu)))] = k_defect
+        K = np.zeros((n_mass, n_mass))
+        K[0, 0] = springs[0]
+        for j in range(1, n_mass):
+            K[j - 1, j - 1] += springs[j]
+            K[j, j] += springs[j]
+            K[j - 1, j] -= springs[j]
+            K[j, j - 1] -= springs[j]
+        assert sp.issparse(sys_.stiffness_at(mu))
+        assert np.array_equal(sys_.stiffness_at(mu).toarray(), -K)
+        assert np.array_equal(sys_.mass.toarray(), 2.0 * np.eye(n_mass))
+        fos = first_order_form(sys_)
+        zero, eye = np.zeros((n_mass, n_mass)), np.eye(n_mass)
+        assert np.array_equal(fos.mass.toarray(), np.block([[eye, zero], [zero, 2.0 * eye]]))
+        assert np.array_equal(fos.operator_at(mu).toarray(), np.block([[zero, eye], [-K, zero]]))
 
     def test_defect_position_validation(self):
         sys_ = spring_chain_with_defect(4)
@@ -117,9 +171,9 @@ class TestFirstOrderForm:
 
         one = SecondOrderSystem(np.array([[1.0]]), lambda mu: np.array([[-1.0]]), (0.0, 1.0))
         fos = first_order_form(one)
-        assert np.array_equal(fos.mass, np.eye(2))
-        assert np.array_equal(fos.operator_at(0.5), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        lam = np.array([p.eigenvalue for p in generalized_eig(fos.operator_at(0.5), fos.mass)])
+        assert np.array_equal(fos.mass.toarray(), np.eye(2))
+        assert np.array_equal(fos.operator_at(0.5).toarray(), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        lam = np.array([p.eigenvalue for p in generalized_eig(fos.operator_at(0.5).toarray(), fos.mass.toarray())])
         assert np.allclose(sorted(lam.imag), [-1.0, 1.0]) and np.allclose(lam.real, 0.0)
 
     def test_decoupled_oscillators_map_to_plus_minus_i_omega(self):
@@ -128,7 +182,7 @@ class TestFirstOrderForm:
         omega = np.array([1.5, 2.5])
         two = SecondOrderSystem(np.eye(2), lambda mu: -np.diag(omega**2), (0.0, 1.0))
         fos = first_order_form(two)
-        lam = np.array([p.eigenvalue for p in generalized_eig(fos.operator_at(0.0), fos.mass)])
+        lam = np.array([p.eigenvalue for p in generalized_eig(fos.operator_at(0.0).toarray(), fos.mass.toarray())])
         assert np.allclose(np.sort(lam.imag), [-2.5, -1.5, 1.5, 2.5], atol=1e-10)
         assert np.allclose(lam.real, 0.0, atol=1e-10)
 
@@ -136,10 +190,10 @@ class TestFirstOrderForm:
         sys2 = spring_chain_with_defect(2, k_nominal=1.0, k_defect=0.5)
         fos = first_order_form(sys2)
         mu = 0.5
-        lam = np.array([p.eigenvalue for p in generalized_eig(fos.operator_at(mu), fos.mass)])
+        lam = np.array([p.eigenvalue for p in generalized_eig(fos.operator_at(mu).toarray(), fos.mass.toarray())])
         assert np.allclose(lam.real, 0.0, atol=1e-10)
         # matches +/- sqrt of the pencil (K, M) spectrum
-        nu = np.linalg.eigvalsh(sys2.stiffness_at(mu))
+        nu = np.linalg.eigvalsh(sys2.stiffness_at(mu).toarray())
         omegas = np.sqrt(-nu)
         assert np.allclose(np.sort(lam.imag), np.sort(np.concatenate([-omegas, omegas])), atol=1e-9)
 
@@ -168,7 +222,7 @@ class TestEquilibrium:
         sys_ = heat_rod(3, h_left=1.0, t_ambient=293.0, heat_source=4.0)
         mu = 2.0
         xbar = equilibrium(sys_, mu)
-        A, b = sys_.operator_at(mu), sys_.source_at(mu)
+        A, b = sys_.operator_at(mu).toarray(), sys_.source_at(mu)
         resid = np.linalg.norm(A @ xbar + b)
         assert resid <= 1e-10 * (np.linalg.norm(A) * np.linalg.norm(xbar) + np.linalg.norm(b))
 
@@ -176,6 +230,19 @@ class TestEquilibrium:
         sys_ = heat_rod(5, h_left=0.0, t_ambient=293.0, heat_source=1.0)
         with pytest.raises(EquilibriumError):
             equilibrium(sys_, 0.0)
+
+    @pytest.mark.parametrize("n, length", [(7, 0.7), (800, 1.0)])
+    def test_insulated_rod_singular_up_to_round_off(self, n, length):
+        # a non-integer conductance leaves round-off in the zero pivot
+        sys_ = heat_rod(n, length=length, h_left=0.0, heat_source=1.0)
+        with pytest.raises(EquilibriumError):
+            equilibrium(sys_, 0.0)
+
+    def test_sparse_lu_matches_dense_solve(self):
+        sys_ = heat_rod(300, h_left=1.0, t_ambient=293.0, heat_source=5.0)
+        xbar = equilibrium(sys_, 15.0)
+        dense = np.linalg.solve(sys_.operator_at(15.0).toarray(), -sys_.source_at(15.0))
+        assert np.allclose(xbar, dense, rtol=1e-12, atol=0.0)
 
 
 class TestTravelingBump:
