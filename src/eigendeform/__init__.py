@@ -25,6 +25,7 @@ from .modal import (
     sample_spectrum,
 )
 from .numerics import (
+    MassFactor,
     SpectralPair,
     cholesky_factor,
     generalized_eig,

@@ -2,12 +2,12 @@
 
 For a tracked mode chain, the deviation of each sampled mode from the
 parameter-averaged mean is collected into a data matrix, weighted by the
-Cholesky factor of the mass matrix so that Euclidean norms become physically
-meaningful, and factorized by an SVD.  The leading left singular vectors,
-mapped back through the factor, are an E-orthonormal basis for how the mode
-deforms across the parameter range; the scaled right singular vectors are the
-per-sample coordinates in that basis and are what gets interpolated to obtain
-modes at unsampled parameters.
+factor F of the mass matrix (FᵀF = E, see ``numerics.MassFactor``) so that
+Euclidean norms become physically meaningful, and factorized by an SVD.  The
+leading left singular vectors, mapped back by F⁻¹, are an E-orthonormal
+basis for how the mode deforms across the parameter range; the scaled right
+singular vectors are the per-sample coordinates in that basis and are what
+gets interpolated to obtain modes at unsampled parameters.
 """
 from __future__ import annotations
 
@@ -17,10 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
-from scipy.linalg import solve_triangular
 
 from .modal import ModeDatabase
-from .numerics import truncated_svd
+from .numerics import MassFactor, truncated_svd
 
 
 class OutOfDomainError(ValueError):
@@ -126,7 +125,7 @@ def build_data_matrix(db: ModeDatabase, i: int, which: str = "right"):
 def compute_edms(
     mean_mode,
     data,
-    mass_factor,
+    mass_factor: MassFactor,
     rank: int | None = None,
     energy: float | None = None,
     mode_index: int = 0,
@@ -134,16 +133,16 @@ def compute_edms(
 ) -> EdmBasis:
     """Extract deformation modes from a deviation data matrix.
 
-    The data is weighted by the upper-triangular mass factor (None means
-    identity), factorized by SVD, and the retained left singular vectors are
-    mapped back by a triangular solve, which keeps the deformation modes
-    E-orthonormal without ever forming an inverse.  The rank is either given
-    explicitly or chosen as the smallest value whose energy fraction reaches
-    ``energy`` (default 0.999).
+    The data is weighted by the mass factor F, factorized by SVD, and the
+    retained left singular vectors are mapped back by ``F.solve`` (a scaling
+    for a diagonal mass, a triangular solve for a dense one), which keeps the
+    deformation modes E-orthonormal without ever forming an inverse.  The
+    rank is either given explicitly or chosen as the smallest value whose
+    energy fraction reaches ``energy`` (default 0.999).
     """
     mean_mode = np.asarray(mean_mode)
     data = np.asarray(data)
-    weighted = data if mass_factor is None else mass_factor @ data
+    weighted = mass_factor @ data
     kmax = min(weighted.shape)
     u_full, s, vh_full = truncated_svd(weighted, kmax)
 
@@ -152,14 +151,11 @@ def compute_edms(
     if not 0 <= rank <= kmax:
         raise ValueError(f"rank {rank} out of range [0, {kmax}]")
 
-    u = u_full[:, :rank]
-    if mass_factor is not None:
-        u = solve_triangular(mass_factor, u, lower=False)
     coefficients = s[:rank, None] * vh_full[:rank, :]
     return EdmBasis(
         mode_index=mode_index,
         mean_mode=mean_mode,
-        edms=u,
+        edms=mass_factor.solve(u_full[:, :rank]),
         singular_values=s,
         coefficients=coefficients,
         sample_mus=None if sample_mus is None else np.asarray(sample_mus, dtype=float),
@@ -240,16 +236,13 @@ def direct_interpolate(db: ModeDatabase, i: int, mu: float, scheme: str = "linea
     return interpolate_columns(db.mus, db.right_block(i), mu, scheme)
 
 
-def interpolation_error(truth, predicted, mass_factor=None) -> float:
-    """Relative mass-weighted misfit between a true mode and its prediction."""
+def interpolation_error(truth, predicted, mass_factor: MassFactor) -> float:
+    """Relative mass-weighted misfit ‖F(truth − predicted)‖ / ‖F truth‖ of a predicted mode."""
     truth = np.asarray(truth)
     predicted = np.asarray(predicted)
     if truth.shape != predicted.shape:
         raise ValueError(f"shape mismatch: {truth.shape} vs {predicted.shape}")
-    wt = truth if mass_factor is None else mass_factor @ truth
-    denom = np.linalg.norm(wt)
+    denom = np.linalg.norm(mass_factor @ truth)
     if denom == 0.0:
         raise ValueError("reference mode has zero norm")
-    diff = truth - predicted
-    wd = diff if mass_factor is None else mass_factor @ diff
-    return float(np.linalg.norm(wd) / denom)
+    return float(np.linalg.norm(mass_factor @ (truth - predicted)) / denom)

@@ -17,10 +17,11 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .edm import EdmBasis, energy_fraction
 from .modal import ModeDatabase
-from .numerics import cholesky_factor
+from .numerics import MassFactor
 
 FORMAT_VERSION = 1
 
@@ -115,10 +116,9 @@ def _add_manifest(batch: _AtomicWrites, manifest: dict) -> None:
     batch.add("manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
-def _coo_bytes(E: np.ndarray) -> bytes:
-    rows, cols = np.nonzero(E)
+def _coo_bytes(E: sp.coo_array) -> bytes:
     # repr of a Python float is the shortest exact round-trip form
-    lines = [f"{i} {j} {float(E[i, j])!r}" for i, j in zip(rows.tolist(), cols.tolist())]
+    lines = [f"{i} {j} {v!r}" for i, j, v in zip(E.row.tolist(), E.col.tolist(), E.data.tolist())]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -126,7 +126,8 @@ def _identity_coo_bytes(n: int) -> bytes:
     return ("\n".join(f"{i} {i} 1.0" for i in range(n)) + "\n").encode()
 
 
-def _coo_parse(data: bytes, n: int):
+def _coo_parse(data: bytes, n: int) -> sp.coo_array:
+    """The n x n mass matrix of E.coo's lines; an entry listed twice is refused."""
     rows, cols, vals = [], [], []
     for lineno, line in enumerate(data.decode().splitlines(), start=1):
         if not line.strip():
@@ -141,25 +142,12 @@ def _coo_parse(data: bytes, n: int):
         rows.append(i)
         cols.append(j)
         vals.append(v)
-    return np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(vals)
-
-
-def _factor_from_coo(rows, cols, vals, n: int) -> np.ndarray | None:
-    """Cholesky factor of the stored mass matrix; None when it is the identity.
-
-    The identity short-circuit avoids densifying an n-by-n matrix for large
-    synthetic databases.
-    """
-    if (
-        len(rows) == n
-        and np.array_equal(rows, cols)
-        and np.all(vals == 1.0)
-        and np.array_equal(np.sort(rows), np.arange(n))
-    ):
-        return None
-    E = np.zeros((n, n))
-    E[rows, cols] = vals
-    return cholesky_factor(E)
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    keys = np.sort(rows * n + cols, kind="stable")  # row-major files are sorted already
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if repeated.size:
+        raise FormatError(f"E.coo lists entry ({repeated[0] // n}, {repeated[0] % n}) more than once")
+    return sp.coo_array((np.array(vals, dtype=float), (rows, cols)), shape=(n, n))
 
 
 def _read_file(path: Path, arrays: dict, name: str) -> bytes:
@@ -220,7 +208,8 @@ def save_database(db: ModeDatabase, path) -> Path:
             _add_array(batch, arrays, f"right_modes_{k:03d}.bin", db.right[:, :, k])
             if db.left is not None:
                 _add_array(batch, arrays, f"left_modes_{k:03d}.bin", db.left[:, :, k])
-        coo = _identity_coo_bytes(n) if db.mass_factor is None else _coo_bytes(db.mass)
+        F = db.mass_factor
+        coo = _identity_coo_bytes(n) if F.kind == "identity" else _coo_bytes(F.mass())
         arrays["E.coo"] = {"shape": [n, n], "complex": False, "checksum": batch.add("E.coo", coo)}
         _add_manifest(batch, {
             "format_version": FORMAT_VERSION,
@@ -259,7 +248,7 @@ def load_database(path) -> ModeDatabase:
         return modes
 
     eig_block = _read_array(path, arrays, "eigenvalues.bin", (m, p)).astype(complex)
-    factor = _factor_from_coo(*_coo_parse(_read_file(path, arrays, "E.coo"), n), n)
+    factor = MassFactor.of(_coo_parse(_read_file(path, arrays, "E.coo"), n))
 
     return ModeDatabase(
         mus=mus,

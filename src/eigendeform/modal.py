@@ -14,13 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .numerics import (
-    EigensolverError,
-    as_dense,
-    cholesky_factor,
-    is_symmetric,
-    slowest_eigenpairs,
-)
+from .numerics import EigensolverError, MassFactor, is_symmetric, slowest_eigenpairs
 from .systems import FullOrderSystem, traveling_bump_family
 
 
@@ -36,22 +30,23 @@ class ModeSample:
 
 @dataclass(frozen=True)
 class ModeDatabase:
-    """The m tracked modes at p sampled parameters, plus the Cholesky factor of the mass matrix.
+    """The m tracked modes at p sampled parameters, plus the factor of the mass matrix.
 
     ``right[:, i, k]`` is mode i at ``mus[k]`` with eigenvalue ``eigenvalues[i, k]``;
     ``left`` holds the adjoint modes of a non-self-adjoint system, else None.
     Mode arrays are kept in Fortran order, so sample k (``right[:, :, k]``) is
     one column-major block and chain i (``right_block(i)``) a view of p
-    contiguous columns.  ``mass_factor`` is the upper-triangular F with FᵀF = E,
-    or None when the mass matrix is the identity.  ``paired`` and ``aligned``
-    record which preparation passes have run; the passes return new arrays.
+    contiguous columns.  ``mass_factor`` is the ``MassFactor`` F with FᵀF = E
+    (identity, diagonal or dense) of size n; every inner product between modes
+    is (F a)ᴴ(F b).  ``paired`` and ``aligned`` record which preparation passes
+    have run; the passes return new arrays.
     """
 
     mus: np.ndarray  # (p,)
     eigenvalues: np.ndarray  # (m, p) complex
     right: np.ndarray  # (n, m, p)
     left: np.ndarray | None  # (n, m, p)
-    mass_factor: np.ndarray | None
+    mass_factor: MassFactor
     paired: bool = False
     aligned: bool = False
     crossing_gaps: tuple[int, ...] = ()
@@ -73,6 +68,8 @@ class ModeDatabase:
             raise ValueError(f"eigenvalues have shape {eigenvalues.shape}, expected {right.shape[1:]}")
         if left is not None and left.shape != right.shape:
             raise ValueError(f"left modes have shape {left.shape}, expected {right.shape}")
+        if not (isinstance(self.mass_factor, MassFactor) and self.mass_factor.n == right.shape[0]):
+            raise ValueError(f"mass_factor must be a MassFactor of the modes' size n={right.shape[0]}")
         for name, value in (("mus", mus), ("eigenvalues", eigenvalues), ("right", right), ("left", left)):
             object.__setattr__(self, name, value)
 
@@ -91,13 +88,6 @@ class ModeDatabase:
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.right)
-
-    @property
-    def mass(self) -> np.ndarray:
-        """Dense mass matrix E = FᵀF (identity when the factor is None)."""
-        if self.mass_factor is None:
-            return np.eye(self.n)
-        return self.mass_factor.T @ self.mass_factor
 
     @property
     def samples(self) -> tuple[ModeSample, ...]:
@@ -120,32 +110,13 @@ class ModeDatabase:
         return None if self.left is None else self.left[:, i, :]
 
 
-def _weight_modes(F: np.ndarray | None, modes: np.ndarray) -> np.ndarray:
-    """F applied to every mode of an (n, m, p) array, in one product."""
-    if F is None:
-        return modes
-    n, m, p = modes.shape
-    return (F @ modes.reshape(n, m * p, order="F")).reshape(n, m, p, order="F")
-
-
-def mac(a: np.ndarray, b: np.ndarray, E: np.ndarray | None = None) -> float:
-    """Squared magnitude of the mass-weighted inner product of two unit modes.
+def mac(a: np.ndarray, b: np.ndarray, mass_factor: MassFactor) -> float:
+    """Squared magnitude of the mass-weighted inner product (F a)ᴴ(F b) of two unit modes.
 
     For E-normalized inputs this lies in [0, 1] and equals 1 exactly when the
     modes coincide up to a unit-modulus factor.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    inner = np.vdot(a, b) if E is None else np.vdot(a, E @ b)
-    return float(abs(inner) ** 2)
-
-
-def _identity_mass_factor(mass) -> np.ndarray | None:
-    """Dense Cholesky factor of a dense or sparse mass matrix; None for the identity."""
-    mass = as_dense(mass)
-    if np.array_equal(mass, np.eye(mass.shape[0])):
-        return None
-    return cholesky_factor(mass)
+    return float(abs(np.vdot(mass_factor @ a, mass_factor @ b)) ** 2)
 
 
 def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
@@ -171,7 +142,7 @@ def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
         raise ValueError(f"mode count {m} out of range [1, {sys.n}]")
 
     mass = sys.mass
-    factor = _identity_mass_factor(mass)
+    factor = MassFactor.of(mass)
 
     eigenvalues = np.empty((m, mus.size), dtype=complex)
     rights, lefts = [], []
@@ -240,7 +211,7 @@ def pair_modes(db: ModeDatabase, mac_gap: float = 0.01) -> ModeDatabase:
     if db.paired:
         raise ValueError("database is already paired")
     m, p = db.m, db.p
-    weighted = _weight_modes(db.mass_factor, db.right).transpose(2, 1, 0)  # (p, m, n)
+    weighted = (db.mass_factor @ db.right).transpose(2, 1, 0)  # (p, m, n)
     # macs[k, a, b]: MAC of mode a at sample k against mode b at sample k + 1
     macs = np.abs(weighted[:-1].conj() @ weighted[1:].transpose(0, 2, 1)) ** 2
 
@@ -297,7 +268,7 @@ def align_signs(db: ModeDatabase) -> ModeDatabase:
         raise ValueError("pair the database before aligning")
     if db.is_complex:
         raise ValueError("database holds complex modes: use align_phases")
-    weighted = _weight_modes(db.mass_factor, db.right)
+    weighted = db.mass_factor @ db.right
     # inner[i, k]: product of chain i's raw modes at samples k and k + 1
     inner = np.einsum("nik,nik->ik", weighted[:, :, :-1], weighted[:, :, 1:])
 
@@ -331,7 +302,7 @@ def align_phases(db: ModeDatabase) -> ModeDatabase:
     """
     if not db.paired:
         raise ValueError("pair the database before aligning")
-    weighted = _weight_modes(db.mass_factor, db.right)
+    weighted = db.mass_factor @ db.right
     # overlap[i, k]: product of chain i's modes at the first sample and at sample k
     overlap = np.einsum("ni,nik->ik", weighted[:, :, 0].conj(), weighted)
     rotation = np.exp(-1j * np.angle(overlap))  # angle(0) = 0 keeps the phase
@@ -377,21 +348,19 @@ def mode_at(sys: FullOrderSystem, db: ModeDatabase, i: int, mu: float) -> np.nda
         raise EigensolverError(f"eigensolve failed at mu={mu}: {exc}") from exc
 
     F = db.mass_factor
-
-    def mass_times(x):  # E x as Fᵀ(F x): two matrix-vector products
-        return x if F is None else F.T @ (F @ x)
-
     nearest = int(np.argmin(np.abs(db.mus - mu)))
     candidates = np.column_stack([pr.right_vector for pr in pairs])
-    ref = mass_times(db.right[:, i, nearest])
-    phi = candidates[:, np.argmax(np.abs(ref.conj() @ candidates))]
+    weighted = F @ candidates
+    ref = F @ db.right[:, i, nearest]
+    j = int(np.argmax(np.abs(ref.conj() @ weighted)))
+    phi = candidates[:, j]
 
     if db.is_complex:
-        c = np.vdot(mass_times(db.right[:, i, 0]), phi)
+        c = np.vdot(F @ db.right[:, i, 0], weighted[:, j])
         if c != 0.0:
             phi = phi.astype(complex) * np.exp(-1j * np.angle(c))
     else:
-        if np.real(np.vdot(ref, phi)) < 0.0:
+        if np.real(np.vdot(ref, weighted[:, j])) < 0.0:
             phi = -phi
         phi = np.real_if_close(phi, tol=1000)
     return phi
@@ -412,7 +381,7 @@ def database_from_modes(
     ``modes`` is either an (n, m, p) array or a sequence of p blocks of shape
     (n, m).  ``eigenvalues`` is (m, p); when omitted, placeholder eigenvalues
     −1, −2, ... are used (synthetic databases only care about mode shapes).
-    A None mass matrix means identity.
+    ``mass`` is a dense or sparse mass matrix; None means the identity.
     """
     mus = np.asarray(mus, dtype=float)
     if isinstance(modes, np.ndarray) and modes.ndim == 3:
@@ -423,11 +392,11 @@ def database_from_modes(
         raise ValueError(f"{right.shape[2]} mode blocks for {mus.size} parameters")
     m = right.shape[1]
 
-    factor = None if mass is None else _identity_mass_factor(mass)
+    factor = MassFactor(right.shape[0]) if mass is None else MassFactor.of(mass)
     if eigenvalues is None:
         eigenvalues = np.tile(-np.arange(1, m + 1, dtype=complex)[:, None], (1, mus.size))
     if normalize:
-        weighted = _weight_modes(factor, right)
+        weighted = factor @ right
         right = right / np.sqrt(np.real(np.sum(weighted.conj() * weighted, axis=0)))
     return ModeDatabase(
         mus=mus,

@@ -1,8 +1,9 @@
 """Linear-algebra kernels with explicit accuracy contracts.
 
-The kernels take numpy arrays; ``solve_linear``, ``is_symmetric`` and
-``slowest_eigenpairs`` also take ``scipy.sparse`` matrices.  None mutates its
-inputs or holds state, so all are safe to call concurrently.
+The kernels take numpy arrays; ``solve_linear``, ``is_symmetric``,
+``slowest_eigenpairs`` and ``MassFactor.of`` also take ``scipy.sparse``
+matrices.  None mutates its inputs or holds state, so all are safe to call
+concurrently.  ``MassFactor`` is the one representation of the mass metric.
 """
 from __future__ import annotations
 
@@ -126,6 +127,72 @@ def cholesky_factor(E, rtol: float = 1e-12) -> np.ndarray:
     if info < 0:
         raise LinearAlgebraError(f"illegal value in argument {-info} of potrf")
     return np.triu(factor)
+
+
+@dataclass(frozen=True)
+class MassFactor:
+    """The factor F with FᵀF = E of a symmetric positive definite mass matrix E.
+
+    ``MassFactor.of(E)`` picks the simplest kind that holds E: the identity
+    (nothing stored; ``MassFactor(n)``), a diagonal E (``scale`` = √diag E),
+    or any other E (``cholesky``, the dense ``cholesky_factor(E)``).
+    ``F @ x`` and ``F.solve(x)`` = F⁻¹x act on any array whose first axis has
+    length n, such as an (n, m, p) block of modes; ``F.mass()`` gives E back.
+    """
+
+    n: int
+    scale: np.ndarray | None = None  # (n,)
+    cholesky: np.ndarray | None = None  # (n, n) upper-triangular
+
+    @classmethod
+    def of(cls, E) -> MassFactor:
+        """Factor of a dense or scipy.sparse E (COO entries included), refused as cholesky_factor refuses E."""
+        E = sp.coo_array(_as_square(E, "E", sparse=True))
+        on = E.row == E.col
+        if np.iscomplexobj(E) or np.any(E.data[~on] != 0):
+            return cls(E.shape[0], cholesky=cholesky_factor(E.toarray()))
+        d = np.bincount(E.row[on], weights=E.data[on], minlength=E.shape[0])  # sums repeats, as toarray
+        if not np.all(np.isfinite(d)):  # NaN or inf breaks E = Eᵀ, as in cholesky_factor
+            raise SymmetryError("matrix is not symmetric within tolerance")
+        if not np.all(d > 0.0):
+            k = int(np.argmin(d > 0.0))  # the first pivot potrf would refuse
+            raise IndefiniteMatrixError(f"matrix is not positive definite: pivot index {k} is not positive", k)
+        return cls(d.size) if np.all(d == 1.0) else cls(d.size, scale=np.sqrt(d))
+
+    @property
+    def kind(self) -> str:
+        return "dense" if self.cholesky is not None else "identity" if self.scale is None else "diagonal"
+
+    def _columns(self, x, op):
+        """x unchanged for the identity, else op of x's (n, k) column-major flattening, reshaped back."""
+        x = np.asarray(x)
+        if x.shape[:1] != (self.n,):
+            raise LinearAlgebraError(f"mass factor of size {self.n} cannot act on shape {x.shape}")
+        if self.kind == "identity":
+            return x
+        return op(x.reshape(self.n, -1, order="F")).reshape(x.shape, order="F")
+
+    def __matmul__(self, x):
+        if self.cholesky is not None:
+            return self._columns(x, lambda c: self.cholesky @ c)
+        # C order, as a dense product returns it, keeps later reductions' summation order
+        return self._columns(x, lambda c: np.multiply(self.scale[:, None], c, order="C"))
+
+    def solve(self, x):
+        """F⁻¹x, by a triangular solve for the dense kind."""
+        if self.cholesky is not None:
+            return self._columns(x, lambda c: scipy.linalg.solve_triangular(self.cholesky, c, lower=False))
+        # the dense kind's bits: OpenBLAS divides a single column, multiplies several by 1 / scale
+        return self._columns(
+            x, lambda c: c / self.scale[:, None] if c.shape[1] == 1 else c * (1.0 / self.scale)[:, None]
+        )
+
+    def mass(self) -> sp.coo_array:
+        """E = FᵀF as its nonzero entries in row-major order."""
+        if self.cholesky is not None:
+            return sp.coo_array(self.cholesky.T @ self.cholesky)
+        diagonal = np.ones(self.n) if self.scale is None else np.square(self.scale)
+        return sp.coo_array((diagonal, (np.arange(self.n),) * 2), shape=(self.n, self.n))
 
 
 def _spectral_order(w: np.ndarray) -> np.ndarray:

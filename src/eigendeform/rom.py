@@ -18,7 +18,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .edm import EdmBasis, interpolate_columns, interpolate_mode
 from .modal import ModeDatabase
-from .numerics import SingularMatrixError, as_dense, generalized_eig, solve_linear
+from .numerics import MassFactor, SingularMatrixError, as_dense, generalized_eig, solve_linear
 from .systems import FullOrderSystem, equilibrium
 
 
@@ -36,7 +36,7 @@ class Rom:
     adjoint: np.ndarray  # (n, m)
     eigenvalues: np.ndarray  # (m,)
     equilibrium: np.ndarray  # (n,)
-    mass_factor: np.ndarray | None
+    mass_factor: MassFactor
     biorth_defect: float
 
 
@@ -49,13 +49,12 @@ class Trajectory:
     reduced: bool = False
 
 
-def _weight(F, x):
-    return x if F is None else F @ x
-
-
-def _biorth_defect(adjoint, basis, F) -> float:
-    gram = _weight(F, adjoint).conj().T @ _weight(F, basis)
-    return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
+def _rom(db: ModeDatabase, mu, basis, adjoint, eigenvalues, equilibrium) -> Rom:
+    """A Rom in db's mass metric F, with its defect ‖(FΨ)ᴴ(FΦ) − I‖_F."""
+    F = db.mass_factor
+    gram = (F @ adjoint).conj().T @ (F @ basis)
+    eq = np.zeros(db.n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
+    return Rom(float(mu), basis, adjoint, eigenvalues, eq, F, float(np.linalg.norm(gram - np.eye(gram.shape[0]))))
 
 
 def _check_times(times) -> np.ndarray:
@@ -77,16 +76,7 @@ def build_rom_at_sample(db: ModeDatabase, mu: float, m: int, equilibrium) -> Rom
         raise ValueError(f"mode count {m} out of range [1, {db.m}]")
     basis = db.right[:, :m, k]
     adjoint = basis if db.left is None else db.left[:, :m, k]
-    eq = np.zeros(db.n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
-    return Rom(
-        mu=float(mus[k]),
-        basis=basis,
-        adjoint=adjoint,
-        eigenvalues=db.eigenvalues[:m, k],
-        equilibrium=eq,
-        mass_factor=db.mass_factor,
-        biorth_defect=_biorth_defect(adjoint, basis, db.mass_factor),
-    )
+    return _rom(db, mus[k], basis, adjoint, db.eigenvalues[:m, k], equilibrium)
 
 
 def build_rom_interpolated(
@@ -147,17 +137,7 @@ def build_rom_interpolated(
             )
         else:
             adjoint = basis
-
-    eq = np.zeros(db.n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
-    return Rom(
-        mu=float(mu),
-        basis=basis,
-        adjoint=adjoint,
-        eigenvalues=eigenvalues,
-        equilibrium=eq,
-        mass_factor=db.mass_factor,
-        biorth_defect=_biorth_defect(adjoint, basis, db.mass_factor),
-    )
+    return _rom(db, mu, basis, adjoint, eigenvalues, equilibrium)
 
 
 def simulate_rom(rom: Rom, x0, times) -> Trajectory:
@@ -174,7 +154,8 @@ def simulate_rom(rom: Rom, x0, times) -> Trajectory:
         raise ValueError(f"x0 has shape {x0.shape}, expected ({rom.basis.shape[0]},)")
 
     dx0 = x0 - rom.equilibrium
-    xhat0 = _weight(rom.mass_factor, rom.adjoint).conj().T @ _weight(rom.mass_factor, dx0)
+    F = rom.mass_factor
+    xhat0 = (F @ rom.adjoint).conj().T @ (F @ dx0)
 
     lam = rom.eigenvalues
     if not (np.iscomplexobj(rom.basis) or np.any(lam.imag)):
@@ -276,7 +257,7 @@ def solution_interpolation(roms, mu: float, x0, times, scheme: str = "linear") -
     return Trajectory(times, states)
 
 
-def trajectory_error(reference: Trajectory, test: Trajectory, mass_factor=None):
+def trajectory_error(reference: Trajectory, test: Trajectory, mass_factor: MassFactor):
     """Instantaneous and time-integrated relative error between two trajectories.
 
     The instantaneous series is the mass-weighted state misfit normalized by
@@ -285,8 +266,8 @@ def trajectory_error(reference: Trajectory, test: Trajectory, mass_factor=None):
     """
     if not np.array_equal(reference.times, test.times):
         raise ValueError("trajectories are sampled on different time grids")
-    wr = _weight(mass_factor, reference.states)
-    wd = _weight(mass_factor, reference.states - test.states)
+    wr = mass_factor @ reference.states
+    wd = mass_factor @ (reference.states - test.states)
     denom = float(np.max(np.linalg.norm(wr, axis=0)))
     if denom == 0.0:
         raise ValueError("reference trajectory is identically zero")

@@ -63,7 +63,7 @@ def rod_db(rod):
 
 def weighted_rank(db, i):
     _, data = build_data_matrix(db, i)
-    weighted = data if db.mass_factor is None else db.mass_factor @ data
+    weighted = db.mass_factor @ data
     s = np.linalg.svd(weighted, compute_uv=False)
     return int(np.sum(s > s[0] * max(weighted.shape) * np.finfo(float).eps))
 
@@ -138,11 +138,11 @@ def test_criterion_4_edm_mass_orthonormality(rod_db):
 
     worst = 0.0
     for db in (rod_db, chain_db, bump):
-        E = None if db.mass_factor is None else db.mass
+        E = db.mass_factor.mass().toarray()
         for i in range(min(db.m, 6)):
             basis = extract_edm_basis(db, i, energy=0.999)
             U = basis.edms
-            gram = U.conj().T @ U if E is None else U.conj().T @ E @ U
+            gram = U.conj().T @ E @ U
             worst = max(worst, float(np.linalg.norm(gram - np.eye(basis.rank))))
     verdict(worst <= 1e-8, f"criterion 4 EDM mass-orthonormality (worst defect {worst:.2e})")
 
@@ -150,7 +150,7 @@ def test_criterion_4_edm_mass_orthonormality(rod_db):
 def test_criterion_5_alignment_suite():
     base_sys = heat_rod(20, h_left=1.0)
     base = align_signs(pair_modes(sample_spectrum(base_sys, np.linspace(0.0, 28.0, 6), 4)))
-    E = base.mass
+    E = base.mass_factor.mass().toarray()
     F = base.mass_factor
 
     sign_ok = phase_ok = idem_ok = True

@@ -58,7 +58,7 @@ class TestGenerate:
         assert run("generate", "traveling-bump", "--n", "40", "--width", "2",
                    "--mu-grid", "0.1:0.9:5", "--out", str(out)) == 0
         db = load_database(out)
-        assert db.m == 1 and db.mass_factor is None
+        assert db.m == 1 and db.mass_factor.kind == "identity"
 
     def test_spring_chain(self, tmp_path):
         out = tmp_path / "chain"
@@ -224,7 +224,7 @@ class TestIngest:
         db = load_database(out)
         assert (db.n, db.m, db.p) == (n, m, p)
         assert db.paired and db.aligned
-        E = db.mass
+        E = db.mass_factor.mass().toarray()
         for s in db.samples:
             for i in range(m):
                 phi = s.right_modes[:, i]

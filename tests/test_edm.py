@@ -22,7 +22,7 @@ from eigendeform.modal import (
     pair_modes,
     sample_spectrum,
 )
-from eigendeform.numerics import cholesky_factor
+from eigendeform.numerics import MassFactor
 from eigendeform.systems import heat_rod
 
 
@@ -38,7 +38,7 @@ def rod_db(rod):
 
 def weighted_rank(db, i):
     _, data = build_data_matrix(db, i)
-    weighted = data if db.mass_factor is None else db.mass_factor @ data
+    weighted = db.mass_factor @ data
     s = np.linalg.svd(weighted, compute_uv=False)
     return int(np.sum(s > s[0] * max(weighted.shape) * np.finfo(float).eps))
 
@@ -72,7 +72,7 @@ class TestBuildDataMatrix:
 class TestComputeEdms:
     def test_identity_factor_diagonal_data(self):
         data = np.diag([3.0, 1.0])
-        basis = compute_edms(np.zeros(2), data, None, rank=2)
+        basis = compute_edms(np.zeros(2), data, MassFactor(2), rank=2)
         assert np.allclose(basis.singular_values, [3.0, 1.0])
         assert np.allclose(np.abs(basis.edms), np.eye(2))
 
@@ -80,7 +80,7 @@ class TestComputeEdms:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((6, 4))
         E = np.diag(rng.uniform(0.5, 2.0, 6))
-        F = cholesky_factor(E)
+        F = MassFactor.of(E)
         basis = compute_edms(np.zeros(6), data, F, rank=4)
         recon = basis.edms @ basis.coefficients
         assert np.linalg.norm(data - recon) <= 1e-10
@@ -88,7 +88,7 @@ class TestComputeEdms:
     def test_heat_rod_orthonormality_and_tail(self, rod_db):
         mean, data = build_data_matrix(rod_db, 0)
         F = rod_db.mass_factor
-        E = rod_db.mass
+        E = rod_db.mass_factor.mass().toarray()
         basis = compute_edms(mean, data, F, rank=2)
         gram = basis.edms.T @ E @ basis.edms
         assert np.linalg.norm(gram - np.eye(2)) <= 1e-8
@@ -259,19 +259,19 @@ class TestDirectInterpolate:
 class TestInterpolationError:
     def test_identity(self):
         v = np.array([1.0, 2.0])
-        assert interpolation_error(v, v) == 0.0
+        assert interpolation_error(v, v, MassFactor(2)) == 0.0
 
     def test_null_predictor(self):
         v = np.array([3.0, 4.0])
-        assert np.isclose(interpolation_error(v, np.zeros(2)), 1.0)
+        assert np.isclose(interpolation_error(v, np.zeros(2), MassFactor(2)), 1.0)
 
     def test_sign_flip(self):
         v = np.array([3.0, 4.0])
-        assert np.isclose(interpolation_error(v, -v), 2.0)
+        assert np.isclose(interpolation_error(v, -v, MassFactor(2)), 2.0)
 
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
-            interpolation_error(np.zeros(2), np.ones(2))
+            interpolation_error(np.zeros(2), np.ones(2), MassFactor(2))
 
 
 class TestOptimality:
@@ -296,7 +296,7 @@ class TestComplexChain:
 
         fos = first_order_form(spring_chain_with_defect(6, k_defect=0.4))
         db = align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 5.5, 6), 3)))
-        E = db.mass
+        E = db.mass_factor.mass().toarray()
         for i in range(db.m):
             basis = extract_edm_basis(db, i, energy=0.999)
             gram = basis.edms.conj().T @ E @ basis.edms

@@ -21,7 +21,7 @@ from eigendeform.modal import (
     synthetic_wide_database,
 )
 from eigendeform import numerics
-from eigendeform.numerics import EigensolverError, cholesky_factor, generalized_eig, is_symmetric
+from eigendeform.numerics import EigensolverError, MassFactor, cholesky_factor, generalized_eig, is_symmetric
 from eigendeform.systems import (
     FullOrderSystem,
     SecondOrderSystem,
@@ -65,7 +65,7 @@ class TestSampleSpectrum:
         db = rod_db
         assert (db.n, db.p, db.m) == (20, 8, 6)
         assert not db.is_complex and not db.paired and not db.aligned
-        E = db.mass
+        E = db.mass_factor.mass().toarray()
         for s in db.samples:
             assert np.all(s.eigenvalues.real < 0) and np.all(s.eigenvalues.imag == 0)
             assert np.all(np.diff(s.eigenvalues.real) < 0)
@@ -78,7 +78,7 @@ class TestSampleSpectrum:
         db = sample_spectrum(sys_, np.array([0.0, 10.0]), 12)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(12)
-        E = db.mass
+        E = db.mass_factor.mass().toarray()
         for s in db.samples:
             A = sys_.operator_at(s.mu)
             phi = s.right_modes
@@ -157,7 +157,7 @@ class TestSampleSpectrumPaths:
         assert (db.left is None) == (left is None)
         if left is not None:
             assert np.array_equal(db.left, left)
-        assert np.array_equal(db.mass_factor, cholesky_factor(sys_.mass.toarray()))
+        assert np.array_equal(db.mass_factor @ np.eye(sys_.n), cholesky_factor(sys_.mass.toarray()))
 
     def test_partial_path_matches_dense_database(self, monkeypatch):
         sys_ = heat_rod(200, h_left=1.0)
@@ -186,20 +186,20 @@ class TestSampleSpectrumPaths:
 class TestMac:
     def test_identity(self):
         a = np.array([0.6, 0.8])
-        assert np.isclose(mac(a, a), 1.0)
+        assert np.isclose(mac(a, a, MassFactor(2)), 1.0)
 
     def test_orthogonal(self):
-        assert mac(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert mac(np.array([1.0, 0.0]), np.array([0.0, 1.0]), MassFactor(2)) == 0.0
 
     def test_phase_invariant(self):
         a = np.array([0.6, 0.8], dtype=complex)
         b = a * np.exp(1j * np.pi / 3)
-        assert abs(mac(a, b) - 1.0) <= 1e-12
+        assert abs(mac(a, b, MassFactor(2)) - 1.0) <= 1e-12
 
     def test_weighted(self):
         E = np.diag([2.0, 1.0])
         a = np.array([1.0, 0.0]) / np.sqrt(2.0)
-        assert np.isclose(mac(a, a, E), 1.0)
+        assert np.isclose(mac(a, a, MassFactor.of(E)), 1.0)
 
 
 class TestPairModes:
@@ -306,15 +306,15 @@ class TestArrayLayout:
             assert np.array_equal(s.eigenvalues, chain_db.eigenvalues[:, k])
 
     def test_shapes_are_checked(self, rod_db):
-        mus, lam, right = rod_db.mus, rod_db.eigenvalues, rod_db.right
+        mus, lam, right, F = rod_db.mus, rod_db.eigenvalues, rod_db.right, rod_db.mass_factor
         with pytest.raises(ValueError, match="increasing"):
-            ModeDatabase(mus[::-1], lam, right, None, None)
+            ModeDatabase(mus[::-1], lam, right, None, F)
         with pytest.raises(ValueError, match="eigenvalues"):
-            ModeDatabase(mus, lam[:, :-1], right, None, None)
+            ModeDatabase(mus, lam[:, :-1], right, None, F)
         with pytest.raises(ValueError, match="right modes"):
-            ModeDatabase(mus[:-1], lam[:, :-1], right, None, None)
+            ModeDatabase(mus[:-1], lam[:, :-1], right, None, F)
         with pytest.raises(ValueError, match="left modes"):
-            ModeDatabase(mus, lam, right, right[:, :-1], None)
+            ModeDatabase(mus, lam, right, right[:, :-1], F)
 
 
 def _snapshot(db):
@@ -398,7 +398,7 @@ class TestAlignSigns:
 
     def test_recovers_from_random_sign_corruption(self, rod_db):
         base = align_signs(pair_modes(rod_db))
-        E = base.mass
+        E = base.mass_factor.mass().toarray()
         for seed in range(20):
             rng = np.random.default_rng(seed)
             flips = np.array([rng.choice([-1.0, 1.0], size=base.m) for _ in range(base.p)]).T
@@ -438,7 +438,7 @@ class TestAlignSigns:
 def phase_objective(F, phi_k, phi_1, theta):
     rotated = phi_k * np.exp(1j * theta)
     diff = rotated - phi_1
-    return np.linalg.norm(diff if F is None else F @ diff)
+    return np.linalg.norm(F @ diff)
 
 
 class TestAlignPhases:
@@ -482,7 +482,7 @@ class TestAlignPhases:
 
         fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
         db = align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 4), 3)))
-        E = db.mass
+        E = db.mass_factor.mass().toarray()
         for i in range(db.m):
             ref = db.samples[0].right_modes[:, i]
             for k in range(1, db.p):
@@ -501,7 +501,7 @@ class TestAlignPhases:
 
 class TestAlignmentInvariants:
     def test_normalization_preserved(self, prepared_rod_db):
-        E = prepared_rod_db.mass
+        E = prepared_rod_db.mass_factor.mass().toarray()
         for s in prepared_rod_db.samples:
             for i in range(prepared_rod_db.m):
                 phi = s.right_modes[:, i]
@@ -509,7 +509,7 @@ class TestAlignmentInvariants:
 
     def test_eigen_residuals_unchanged(self, rod_db, prepared_rod_db):
         sys_ = heat_rod(20, h_left=1.0)
-        E = rod_db.mass
+        E = rod_db.mass_factor.mass().toarray()
         for raw, fixed in zip(rod_db.samples, prepared_rod_db.samples):
             A = sys_.operator_at(raw.mu)
             for i in range(rod_db.m):
@@ -562,7 +562,7 @@ class TestSyntheticDatabases:
     def test_bump_database_prepared(self):
         db = bump_database(40, 2.0, np.linspace(0.1, 0.9, 8))
         assert db.paired and db.aligned and db.m == 1
-        assert db.mass_factor is None
+        assert db.mass_factor.kind == "identity"
 
     def test_synthetic_wide_deterministic(self):
         a = synthetic_wide_database(500, np.linspace(0, 1, 5), 3, seed=4)

@@ -3,6 +3,7 @@ import pytest
 
 from eigendeform.edm import OutOfDomainError, extract_edm_basis
 from eigendeform.modal import align_phases, align_signs, pair_modes, sample_spectrum
+from eigendeform.numerics import MassFactor
 from eigendeform.rom import (
     Rom,
     benchmark_strategies,
@@ -88,7 +89,7 @@ class TestSimulateRom:
             adjoint=np.array([[1.0]]),
             eigenvalues=np.array([-1.0]),
             equilibrium=np.zeros(1),
-            mass_factor=None,
+            mass_factor=MassFactor(1),
             biorth_defect=0.0,
         )
         times = np.linspace(0.0, 3.0, 50)
@@ -295,7 +296,7 @@ class TestSolutionInterpolation:
                 adjoint=np.eye(2),
                 eigenvalues=np.array([-1.0 - lam, -2.0]),
                 equilibrium=np.zeros(2),
-                mass_factor=None,
+                mass_factor=MassFactor(2),
                 biorth_defect=0.0,
             )
 
@@ -331,7 +332,7 @@ class TestTrajectoryError:
         from eigendeform.rom import Trajectory
 
         t = Trajectory(times, states)
-        inst, integ = trajectory_error(t, Trajectory(times, states.copy()))
+        inst, integ = trajectory_error(t, Trajectory(times, states.copy()), MassFactor(4))
         assert np.all(inst == 0.0) and integ == 0.0
 
     def test_null_model_is_normalized_mean_magnitude(self):
@@ -341,7 +342,7 @@ class TestTrajectoryError:
         states = np.vstack([np.exp(-times), np.zeros_like(times)])
         ref = Trajectory(times, states)
         zero = Trajectory(times, np.zeros_like(states))
-        inst, integ = trajectory_error(ref, zero)
+        inst, integ = trajectory_error(ref, zero, MassFactor(2))
         norms = np.linalg.norm(states, axis=0)
         expected = np.trapezoid(norms / norms.max(), times) / 2.0
         assert np.allclose(inst, norms / norms.max())
@@ -353,7 +354,7 @@ class TestTrajectoryError:
         a = Trajectory(np.linspace(0, 1, 5), np.zeros((2, 5)))
         b = Trajectory(np.linspace(0, 2, 5), np.ones((2, 5)))
         with pytest.raises(ValueError):
-            trajectory_error(a, b)
+            trajectory_error(a, b, MassFactor(2))
 
 
 class TestStability:
