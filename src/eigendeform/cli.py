@@ -82,11 +82,12 @@ def _mode_index(args, db) -> int:
     return args.mode - 1
 
 
-def _edm_bases(db, m, rank=None, energy=None, which="right"):
-    return [
-        edm_mod.extract_edm_basis(db, i, rank=rank, energy=energy, which=which)
-        for i in range(m)
-    ]
+def _edm_bases(db, m, rank=None, energy=None):
+    """Right deformation bases of the first m chains, and left ones (None when db stores none)."""
+    def family(which):
+        return [edm_mod.extract_edm_basis(db, i, rank=rank, energy=energy, which=which) for i in range(m)]
+
+    return family("right"), None if db.left is None else family("left")
 
 
 def _numerical_rank(db, i) -> int:
@@ -193,6 +194,12 @@ def cmd_interp(args) -> int:
     else:
         if args.edm is not None:
             basis = io_mod.load_edm_basis(args.edm)
+            if basis.mode_index != i:
+                raise ValueError(f"--edm {args.edm} holds mode {basis.mode_index + 1}, not --mode {args.mode}")
+            if basis.mean_mode.shape[0] != db.n:
+                raise ValueError(f"--edm {args.edm} has {basis.mean_mode.shape[0]} rows, --db has n={db.n}")
+            if basis.sample_mus is not None and not np.array_equal(basis.sample_mus, db.mus):
+                raise ValueError(f"--edm {args.edm} was built on other sample parameters than --db")
         else:
             basis = edm_mod.extract_edm_basis(db, i, rank=args.rank, energy=args.energy)
         vec = edm_mod.interpolate_mode(basis, args.mu, scheme=args.scheme)
@@ -210,7 +217,7 @@ def cmd_interp(args) -> int:
 def cmd_rom(args) -> int:
     db = _load_prepared(args.db)
     sys_ = _build_system(db)
-    m = args.m or db.m
+    m = db.m if args.m is None else args.m
     xbar = systems.equilibrium(sys_, args.mu)
     if args.x0_npy is not None:
         x0 = np.load(args.x0_npy)
@@ -223,24 +230,21 @@ def cmd_rom(args) -> int:
     horizon = args.horizon if args.horizon is not None else rom_mod.default_horizon(db)
     times = np.linspace(0.0, horizon, args.steps + 1)
 
-    if args.strategy == "sample":
-        model = rom_mod.build_rom_at_sample(db, args.mu, m, xbar)
-        trajectory = rom_mod.simulate_rom(model, x0, times)
-        defect = model.biorth_defect
-    elif args.strategy == "solution":
+    if args.strategy == "solution":
         roms = [rom_mod.build_rom_at_sample(db, mk, m, xbar) for mk in db.mus]
         trajectory = rom_mod.solution_interpolation(roms, args.mu, x0, times, scheme=args.scheme)
         defect = float("nan")
     else:
-        bases = left_bases = None
-        if args.strategy == "edm":
-            bases = _edm_bases(db, m, rank=args.rank, energy=args.energy)
-            if db.left is not None:
-                left_bases = _edm_bases(db, m, rank=args.rank, energy=args.energy, which="left")
-        model = rom_mod.build_rom_interpolated(
-            db, args.mu, m, strategy=args.strategy, edm_bases=bases,
-            left_edm_bases=left_bases, equilibrium=xbar, mode_scheme=args.scheme,
-        )
+        if args.strategy == "sample":
+            model = rom_mod.build_rom_at_sample(db, args.mu, m, xbar)
+        else:
+            bases = left_bases = None
+            if args.strategy == "edm":
+                bases, left_bases = _edm_bases(db, m, rank=args.rank, energy=args.energy)
+            model = rom_mod.build_rom_interpolated(
+                db, args.mu, m, strategy=args.strategy, edm_bases=bases,
+                left_edm_bases=left_bases, equilibrium=xbar, mode_scheme=args.scheme,
+            )
         trajectory = rom_mod.simulate_rom(model, x0, times)
         defect = model.biorth_defect
 
@@ -298,24 +302,20 @@ def _report_benchmark(args) -> int:
         raise ValueError("report benchmark requires --x0-mu (equilibrium used as initial state)")
     db = _load_prepared(args.db)
     sys_ = _build_system(db)
-    m = args.m or db.m
-    bases = _edm_bases(db, m, rank=args.rank, energy=args.energy)
-    left_bases = None
-    if db.left is not None:
-        left_bases = _edm_bases(db, m, rank=args.rank, energy=args.energy, which="left")
+    m = db.m if args.m is None else args.m
+    bases, left_bases = _edm_bases(db, m, rank=args.rank, energy=args.energy)
     grid = np.linspace(db.mus[0], db.mus[-1], args.grid)
     rows = rom_mod.benchmark_strategies(
         sys_, db, bases, grid,
         x0=args.x0_mu,
         m=m,
-        repetitions=args.repetitions,
         left_edm_bases=left_bases,
     )
     out = _out_path(args, "benchmark.csv")
     _write_csv(
         out,
-        ["mu (parameter)", "strategy", "integrated_error (relative)", "seconds (s)"],
-        [(r["mu"], r["strategy"], r["integrated_error"], r["seconds"]) for r in rows],
+        ["mu (parameter)", "strategy", "integrated_error (relative)"],
+        [(r["mu"], r["strategy"], r["integrated_error"]) for r in rows],
     )
     print(f"wrote strategy benchmark over {args.grid} parameters to {out}")
     return 0
@@ -475,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--rank", type=int, default=None)
     rp.add_argument("--energy", type=float, default=None)
     rp.add_argument("--x0-mu", type=float, default=None)
-    rp.add_argument("--repetitions", type=int, default=100)
     rp.add_argument("--out")
     rp.set_defaults(func=cmd_report)
 

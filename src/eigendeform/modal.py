@@ -172,11 +172,14 @@ def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
     )
 
 
-def _match_gap(mac: np.ndarray, lam_prev: np.ndarray, lam_next: np.ndarray, mac_gap: float):
+_MAC_GAP = 0.01
+
+
+def _match_gap(mac: np.ndarray, lam_prev: np.ndarray, lam_next: np.ndarray):
     """Match the chains (rows of ``mac``) to the next sample's modes (columns).
 
     Returns the column of each chain and the chains in contest: those on which
-    the best assignment and some other assignment scoring within ``mac_gap``
+    the best assignment and some other assignment scoring within ``_MAC_GAP``
     of its total MAC disagree.  Any other assignment drops one pair of the
     best, so forbidding each pair in turn finds them all.  Contested chains
     are re-matched among their columns by eigenvalue proximity.
@@ -188,7 +191,7 @@ def _match_gap(mac: np.ndarray, lam_prev: np.ndarray, lam_next: np.ndarray, mac_
         forbidden = mac.copy()
         forbidden[i, cols[i]] = -np.inf
         _, alt = linear_sum_assignment(forbidden, maximize=True)
-        if best - mac[rows, alt].sum() <= mac_gap:
+        if best - mac[rows, alt].sum() <= _MAC_GAP:
             contested |= alt != cols
     idx = np.flatnonzero(contested)
     if idx.size:
@@ -197,13 +200,13 @@ def _match_gap(mac: np.ndarray, lam_prev: np.ndarray, lam_next: np.ndarray, mac_
     return cols, idx
 
 
-def pair_modes(db: ModeDatabase, mac_gap: float = 0.01) -> ModeDatabase:
+def pair_modes(db: ModeDatabase) -> ModeDatabase:
     """Match modes across consecutive samples by the assignment of maximum total MAC.
 
     Each sample gap is an assignment problem on the mass-weighted MAC values
     between the chains so far and the next sample's modes, solved optimally by
     the Hungarian method.  A gap is degenerate when another assignment scores
-    within ``mac_gap`` of the best: the chains the two disagree on are
+    within ``_MAC_GAP`` (0.01) of the best: the chains the two disagree on are
     re-matched by eigenvalue proximity and a warning is recorded.  Every sample
     gap where the match disagrees with plain eigenvalue ordering is listed in
     ``crossing_gaps``.  Only samples whose order changes are copied.
@@ -222,12 +225,12 @@ def pair_modes(db: ModeDatabase, mac_gap: float = 0.01) -> ModeDatabase:
     warnings: list[str] = list(db.warnings)
     for k in range(p - 1):
         cols, contested = _match_gap(
-            macs[k][perms[k]], db.eigenvalues[perms[k], k], db.eigenvalues[:, k + 1], mac_gap
+            macs[k][perms[k]], db.eigenvalues[perms[k], k], db.eigenvalues[:, k + 1]
         )
         if contested.size:
             warnings.append(
                 f"degenerate pairing between samples {k} and {k + 1}: chains "
-                f"{contested.tolist()} have an assignment within {mac_gap} of the best "
+                f"{contested.tolist()} have an assignment within {_MAC_GAP} of the best "
                 "total MAC; eigenvalue proximity applied"
             )
         # a crossing is a gap where a chain changes its eigenvalue-order rank

@@ -92,11 +92,16 @@ def _sparse_norms(a) -> tuple[float, float]:
 
 
 def is_symmetric(a, rtol: float = 1e-12) -> bool:
-    """True when ``a`` (dense or sparse) is real and equals its transpose within ``rtol`` relative."""
+    """True when ``a`` (dense or sparse) is real, finite and equals its transpose within ``rtol`` relative."""
     if np.iscomplexobj(a):
         return False
     if sp.issparse(a):
+        a = a.tocsr()
+        if not np.isfinite(a.data).all():
+            return False
         scale, asymmetry = _sparse_norms(a) if a.nnz else (0.0, 0.0)
+    elif not np.isfinite(a).all():
+        return False
     else:
         scale = np.linalg.norm(a)
         asymmetry = np.linalg.norm(a - a.T) if scale else 0.0

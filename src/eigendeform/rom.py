@@ -1,4 +1,4 @@
-"""Modal-truncation reduced-order models and strategy benchmarks.
+"""Modal-truncation reduced-order models and their error against the full order.
 
 A Rom keeps the m retained eigenmodes, their adjoints, and eigenvalues at one
 parameter value; the reduced dynamics are diagonal, so trajectories are exact
@@ -9,7 +9,6 @@ solutions.
 """
 from __future__ import annotations
 
-import time
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -46,7 +45,6 @@ class Trajectory:
 
     times: np.ndarray  # (nt,)
     states: np.ndarray  # (n, nt)
-    reduced: bool = False
 
 
 def _rom(db: ModeDatabase, mu, basis, adjoint, eigenvalues, equilibrium) -> Rom:
@@ -88,14 +86,13 @@ def build_rom_interpolated(
     left_edm_bases: list[EdmBasis] | None = None,
     equilibrium=None,
     mode_scheme: str = "linear",
-    eigenvalue_scheme: str = "cubic",
 ) -> Rom:
     """Assemble a ROM at an unsampled parameter from interpolated modes.
 
     ``strategy`` selects componentwise interpolation of the stored mode chains
     ("direct") or reconstruction from interpolated deformation coefficients
     ("edm", which needs one EdmBasis per retained chain).  Eigenvalues are
-    spline interpolated separately.  Left chains, when the system is not
+    cubic-spline interpolated separately.  Left chains, when the system is not
     self-adjoint, are interpolated with the same strategy.  The interpolated
     bases are not re-bi-orthogonalized; the defect is stored on the Rom.
     """
@@ -107,36 +104,29 @@ def build_rom_interpolated(
         raise ValueError(f"unknown strategy {strategy!r}")
     mus = db.mus
 
-    eigenvalues = np.atleast_1d(interpolate_columns(mus, db.eigenvalues[:m], mu, eigenvalue_scheme))
+    eigenvalues = np.atleast_1d(interpolate_columns(mus, db.eigenvalues[:m], mu, "cubic"))
 
-    has_left = db.left is not None
     if strategy == "direct":
-        basis = np.column_stack(
-            [interpolate_columns(mus, db.right_block(i), mu, mode_scheme) for i in range(m)]
-        )
-        if has_left:
-            adjoint = np.column_stack(
-                [interpolate_columns(mus, db.left_block(i), mu, mode_scheme) for i in range(m)]
-            )
-        else:
-            adjoint = basis
+        right = [db.right_block(i) for i in range(m)]
+        left = None if db.left is None else [db.left_block(i) for i in range(m)]
+
+        def interpolate(block):
+            return interpolate_columns(mus, block, mu, mode_scheme)
     else:
         if edm_bases is None or len(edm_bases) < m:
             raise ValueError("edm strategy needs one deformation basis per retained mode")
-        basis = np.column_stack(
-            [interpolate_mode(edm_bases[i], mu, mode_scheme) for i in range(m)]
-        )
-        if has_left:
-            if left_edm_bases is None or len(left_edm_bases) < m:
-                raise ValueError(
-                    "edm strategy on a non-self-adjoint database needs left "
-                    "deformation bases as well"
-                )
-            adjoint = np.column_stack(
-                [interpolate_mode(left_edm_bases[i], mu, mode_scheme) for i in range(m)]
+        if db.left is not None and (left_edm_bases is None or len(left_edm_bases) < m):
+            raise ValueError(
+                "edm strategy on a non-self-adjoint database needs left "
+                "deformation bases as well"
             )
-        else:
-            adjoint = basis
+        right, left = edm_bases[:m], None if db.left is None else left_edm_bases[:m]
+
+        def interpolate(edm_basis):
+            return interpolate_mode(edm_basis, mu, mode_scheme)
+
+    basis = np.column_stack([interpolate(item) for item in right])
+    adjoint = basis if left is None else np.column_stack([interpolate(item) for item in left])
     return _rom(db, mu, basis, adjoint, eigenvalues, equilibrium)
 
 
@@ -170,19 +160,18 @@ def simulate_rom(rom: Rom, x0, times) -> Trajectory:
     return Trajectory(times, states)
 
 
-def crank_nicolson(sys: FullOrderSystem, mu: float, x0, times, max_step=None) -> Trajectory:
+def crank_nicolson(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
     """Trapezoidal time integration of E ẏ = A(μ) y + b(μ).
 
     Steps between requested output instants are subdivided so no internal step
-    exceeds ``max_step`` (default: horizon/10⁴).
+    exceeds horizon/10⁴.
     """
     times = _check_times(times)
     x0 = np.asarray(x0, dtype=float)
     A = as_dense(sys.operator_at(mu))
     E = as_dense(sys.mass)
     b = np.asarray(sys.source_at(mu), dtype=float)
-    if max_step is None:
-        max_step = (times[-1] - times[0]) / 1e4
+    max_step = (times[-1] - times[0]) / 1e4
 
     factors: dict[float, tuple] = {}
     states = np.empty((sys.n, times.size))
@@ -291,27 +280,21 @@ def benchmark_strategies(
     edm_bases: list[EdmBasis],
     validation_mus,
     x0,
-    horizon: float | None = None,
-    n_steps: int = 1000,
     m: int | None = None,
-    mode_scheme: str = "linear",
-    repetitions: int = 100,
     left_edm_bases: list[EdmBasis] | None = None,
 ):
-    """Error and per-query latency of the three interpolation strategies.
+    """Trajectory error of the three interpolation strategies.
 
-    For every validation parameter, the full-order spectral solution is the
-    reference; each strategy's trajectory is scored by the time-integrated
-    error, and its per-query build-plus-simulate wall time is averaged over
-    ``repetitions`` runs.  ``x0`` may be a state vector or a parameter value
-    whose equilibrium is used as the initial condition.  The equilibrium at
-    the queried parameter is computed exactly and shared by all strategies.
+    For every validation parameter, the full-order spectral solution over
+    ``default_horizon(db)`` in 1000 steps is the reference; each strategy's
+    trajectory is scored by the time-integrated error.  Modes are interpolated
+    linearly.  ``x0`` may be a state vector or a parameter value whose
+    equilibrium is used as the initial condition.  The equilibrium at the
+    queried parameter is computed exactly and shared by all strategies.
     Returns one row dict per (parameter, strategy).
     """
     m = db.m if m is None else m
-    if horizon is None:
-        horizon = default_horizon(db)
-    times = np.linspace(0.0, horizon, n_steps + 1)
+    times = np.linspace(0.0, default_horizon(db), 1001)
     if np.isscalar(x0):
         x0 = equilibrium(sys, float(x0))
     x0 = np.asarray(x0, dtype=float)
@@ -321,78 +304,12 @@ def benchmark_strategies(
         xbar = equilibrium(sys, mu)
         reference = simulate_full(sys, mu, x0, times)
         sampled_roms = [build_rom_at_sample(db, mk, m, xbar) for mk in db.mus]
-
-        def run_solution():
-            return solution_interpolation(sampled_roms, mu, x0, times, scheme=mode_scheme)
-
-        def run_direct():
-            rom = build_rom_interpolated(
-                db, mu, m, strategy="direct", equilibrium=xbar, mode_scheme=mode_scheme
-            )
-            return simulate_rom(rom, x0, times)
-
-        def run_edm():
-            rom = build_rom_interpolated(
-                db, mu, m, strategy="edm", edm_bases=edm_bases,
-                left_edm_bases=left_edm_bases, equilibrium=xbar,
-                mode_scheme=mode_scheme,
-            )
-            return simulate_rom(rom, x0, times)
-
-        for strategy, runner in (
-            ("solution-interpolation", run_solution),
-            ("direct", run_direct),
-            ("edm", run_edm),
-        ):
-            trajectory = runner()
+        for strategy in ("solution-interpolation", "direct", "edm"):
+            if strategy == "solution-interpolation":
+                trajectory = solution_interpolation(sampled_roms, mu, x0, times)
+            else:
+                model = build_rom_interpolated(db, mu, m, strategy, edm_bases, left_edm_bases, xbar)
+                trajectory = simulate_rom(model, x0, times)
             _, integrated = trajectory_error(reference, trajectory, db.mass_factor)
-            start = time.perf_counter()
-            for _ in range(repetitions):
-                runner()
-            seconds = (time.perf_counter() - start) / max(repetitions, 1)
-            rows.append(
-                {
-                    "mu": float(mu),
-                    "strategy": strategy,
-                    "integrated_error": integrated,
-                    "seconds": seconds,
-                }
-            )
+            rows.append({"mu": float(mu), "strategy": strategy, "integrated_error": integrated})
     return rows
-
-
-def time_mode_construction(
-    db: ModeDatabase,
-    edm_bases: list[EdmBasis],
-    mu: float,
-    m: int | None = None,
-    scheme: str = "linear",
-    repetitions: int = 100,
-) -> dict[str, float]:
-    """Median per-query wall time to construct the m interpolated modes.
-
-    The direct strategy interpolates m chains of n-dimensional vectors (the
-    per-chain blocks are views of the database, so nothing is copied per
-    query); the deformation-based strategy interpolates r coefficients per
-    chain and reconstructs through a skinny matrix product.
-    """
-    m = db.m if m is None else m
-    mus = db.mus
-    blocks = [db.right_block(i) for i in range(m)]
-
-    def run_direct():
-        return [interpolate_columns(mus, blocks[i], mu, scheme) for i in range(m)]
-
-    def run_edm():
-        return [interpolate_mode(edm_bases[i], mu, scheme) for i in range(m)]
-
-    result = {}
-    for name, runner in (("direct", run_direct), ("edm", run_edm)):
-        runner()  # warm up
-        samples = []
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            runner()
-            samples.append(time.perf_counter() - start)
-        result[name] = float(np.median(samples))
-    return result

@@ -14,6 +14,7 @@ from eigendeform.edm import (
     direct_interpolate,
     energy_fraction,
     extract_edm_basis,
+    interpolate_columns,
     interpolate_mode,
     interpolation_error,
     select_rank,
@@ -35,7 +36,6 @@ from eigendeform.rom import (
     default_horizon,
     simulate_full,
     simulate_rom,
-    time_mode_construction,
     trajectory_error,
 )
 from eigendeform.systems import (
@@ -237,7 +237,7 @@ def test_criterion_7_strategy_ordering():
     db = align_signs(pair_modes(sample_spectrum(sys_, training, 6)))
     bases = [extract_edm_basis(db, i, rank=2) for i in range(6)]
     grid = np.linspace(0.0, 6.0, 100)
-    rows = benchmark_strategies(sys_, db, bases, grid, x0=18.0, repetitions=1)
+    rows = benchmark_strategies(sys_, db, bases, grid, x0=18.0)
 
     by_mu: dict[float, dict[str, float]] = {}
     for r in rows:
@@ -260,11 +260,24 @@ def test_criterion_7_strategy_ordering():
 def test_criterion_8_speedup_direction():
     db = synthetic_wide_database(20000, np.linspace(0.0, 1.0, 8), 6, seed=0)
     bases = [extract_edm_basis(db, i, rank=2) for i in range(6)]
-    timing = time_mode_construction(db, bases, 0.37, repetitions=100)
+    blocks = [db.right_block(i) for i in range(6)]  # views: nothing is copied per query
+    mu = 0.37
+
+    def median_seconds(query) -> float:
+        query()  # warm up
+        samples = []
+        for _ in range(100):
+            start = time.perf_counter()
+            query()
+            samples.append(time.perf_counter() - start)
+        return float(np.median(samples))
+
+    direct = median_seconds(lambda: [interpolate_columns(db.mus, block, mu) for block in blocks])
+    edm = median_seconds(lambda: [interpolate_mode(basis, mu) for basis in bases])
     verdict(
-        timing["edm"] < timing["direct"],
-        f"criterion 8 speedup direction (edm {timing['edm'] * 1e3:.3f} ms < "
-        f"direct {timing['direct'] * 1e3:.3f} ms per query)",
+        edm < direct,
+        f"criterion 8 speedup direction (edm {edm * 1e3:.3f} ms < "
+        f"direct {direct * 1e3:.3f} ms per query)",
     )
 
 

@@ -140,6 +140,28 @@ class TestInterpAndRom:
         assert run("interp", "--db", str(rod_db_dir), "--mode", "1", "--mu", "9.0",
                    "--edm", str(basis_dir), "--out", str(out)) == 0
 
+    @pytest.mark.parametrize("db_args, mode, message", [
+        (None, "2", "holds mode 2, not --mode 1"),  # another chain of the same database
+        (["--n", "12", "--mu-grid", "0:28:6"], "1", "has 12 rows, --db has n=30"),
+        (["--n", "30", "--mu-grid", "0:28:5"], "1", "other sample parameters"),
+    ])
+    def test_interp_refuses_a_basis_of_another_chain_or_database(
+        self, rod_db_dir, tmp_path, capsys, db_args, mode, message
+    ):
+        source = rod_db_dir
+        if db_args is not None:
+            source = tmp_path / "other"
+            assert run("generate", "heat-rod", *db_args, "--m", "4", "--t-ambient", "293",
+                       "--heat-source", "5", "--out", str(source)) == 0
+        basis_dir = tmp_path / "edm"
+        assert run("edm", "--db", str(source), "--mode", mode, "--out", str(basis_dir)) == 0
+        out = tmp_path / "mode.csv"
+        assert run("interp", "--db", str(rod_db_dir), "--mode", "1", "--mu", "9.0",
+                   "--edm", str(basis_dir), "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip()
+        assert message in err and "\n" not in err
+        assert not out.exists()
+
     def test_rom_trajectory(self, rod_db_dir, tmp_path):
         out = tmp_path / "traj.csv"
         assert run("rom", "--db", str(rod_db_dir), "--mu", "14.0", "--strategy", "edm",
@@ -147,6 +169,16 @@ class TestInterpAndRom:
         header, rows = read_csv(out)
         assert header[0].startswith("t") and len(rows) == 51
         assert len(header) == 31
+
+    @pytest.mark.parametrize("argv", [
+        ["rom", "--mu", "14.0", "--x0-mu", "100", "--steps", "10"],
+        ["report", "benchmark", "--grid", "3", "--x0-mu", "100"],
+    ])
+    def test_zero_mode_count_is_refused(self, rod_db_dir, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--db", str(rod_db_dir), "--m", "0", "--out", str(out)) == 1
+        assert "mode count 0 out of range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rom_solution_strategy(self, rod_db_dir, tmp_path):
         out = tmp_path / "traj.csv"
@@ -190,8 +222,7 @@ class TestReports:
     def test_benchmark_report(self, rod_db_dir, tmp_path):
         out = tmp_path / "bench.csv"
         assert run("report", "benchmark", "--db", str(rod_db_dir), "--grid", "5",
-                   "--rank", "2", "--x0-mu", "100", "--repetitions", "1",
-                   "--out", str(out)) == 0
+                   "--rank", "2", "--x0-mu", "100", "--out", str(out)) == 0
         header, rows = read_csv(out)
         assert len(rows) == 15
         assert all(float(r[2]) >= 0 for r in rows)
@@ -202,6 +233,18 @@ class TestReports:
                    "--out", str(out)) == 0
         header, rows = read_csv(out)
         assert float(rows[-1][2]) == 1.0
+
+
+    @pytest.mark.parametrize("argv", [
+        ["error-sweep", "--grid", "11", "--ranks", "0,1,full"],
+        ["benchmark", "--grid", "5", "--rank", "2", "--x0-mu", "100"],
+        ["energy"],
+    ])
+    def test_identical_command_lines_give_identical_bytes(self, rod_db_dir, tmp_path, argv):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("report", *argv, "--db", str(rod_db_dir), "--out", str(a)) == 0
+        assert run("report", *argv, "--db", str(rod_db_dir), "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestIngest:

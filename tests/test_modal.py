@@ -542,6 +542,21 @@ class TestModeAt:
         stored = db.samples[2].right_modes[:, 0]
         assert np.linalg.norm(truth - stored) <= 1e-8
 
+    def test_reference_mode_is_mass_weighted(self):
+        # masses 100 and 1, E-orthonormal modes φ = E^-½ ψ with ψ = (3, 1)/√10, (−1, 3)/√10:
+        # the overlap φ₁ᵀ E^½ φ₂ = 0.27 beats φ₁ᵀ E^½ φ₁ = 0.19, so only the E-weighted
+        # reference (φ₁ᵀ E φⱼ = δ₁ⱼ) picks mode 1
+        half = np.diag([10.0, 1.0])
+        psi = np.array([[3.0, -1.0], [1.0, 3.0]]) / np.sqrt(10.0)
+
+        def operator(mu):
+            return -half @ psi @ np.diag([1.0, 2.0 + mu]) @ psi.T @ half
+
+        sys_ = FullOrderSystem(2, half @ half, operator, lambda mu: np.zeros(2), (0.0, 1.0))
+        db = align_signs(pair_modes(sample_spectrum(sys_, np.array([0.0, 1.0]), 1)))
+        for k in range(db.p):
+            assert np.linalg.norm(mode_at(sys_, db, 0, db.mus[k]) - db.right[:, 0, k]) <= 1e-10
+
     def test_requires_aligned(self, rod_db):
         sys_ = heat_rod(20, h_left=1.0)
         with pytest.raises(ValueError):

@@ -56,6 +56,17 @@ class TestCholesky:
         assert "1" in str(err.value)
 
 
+class TestIsSymmetric:
+    # the suite turns warnings into errors, so an inf - inf inside the test fails here
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_array, sp.coo_array])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
+    def test_non_finite_is_not_symmetric(self, form, value, where):
+        a = np.diag([1.0, 2.0, 3.0])
+        a[where] = a[where[::-1]] = value
+        assert not numerics.is_symmetric(form(a))
+
+
 class TestGeneralizedEig:
     def test_diagonal(self):
         pairs = generalized_eig(np.diag([-1.0, -2.0]), np.eye(2))

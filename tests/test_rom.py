@@ -14,7 +14,6 @@ from eigendeform.rom import (
     simulate_full,
     simulate_rom,
     solution_interpolation,
-    time_mode_construction,
     trajectory_error,
 )
 from eigendeform.systems import (
@@ -377,16 +376,8 @@ class TestBenchmark:
     def test_rows_and_training_exactness(self, rod, rod_db):
         bases = [extract_edm_basis(rod_db, i, rank=2) for i in range(6)]
         mus = [rod_db.mus[0], 2.0, rod_db.mus[1]]
-        rows = benchmark_strategies(
-            rod, rod_db, bases, mus, x0=100.0, n_steps=200, repetitions=2
-        )
+        rows = benchmark_strategies(rod, rod_db, bases, mus, x0=100.0)
         assert len(rows) == 9
         assert {r["strategy"] for r in rows} == {"solution-interpolation", "direct", "edm"}
         at_training = [r for r in rows if r["mu"] in (rod_db.mus[0], rod_db.mus[1])]
         assert all(r["integrated_error"] <= 1e-6 for r in at_training)
-        assert all(r["seconds"] > 0 for r in rows)
-
-    def test_mode_construction_timing_returns_medians(self, rod_db):
-        bases = [extract_edm_basis(rod_db, i, rank=2) for i in range(6)]
-        t = time_mode_construction(rod_db, bases, 3.3, repetitions=5)
-        assert set(t) == {"direct", "edm"} and min(t.values()) > 0
