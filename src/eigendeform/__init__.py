@@ -26,7 +26,6 @@ from .modal import (
 )
 from .numerics import (
     MassFactor,
-    SpectralPair,
     cholesky_factor,
     generalized_eig,
     slowest_eigenpairs,

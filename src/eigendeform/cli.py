@@ -194,12 +194,7 @@ def cmd_interp(args) -> int:
     else:
         if args.edm is not None:
             basis = io_mod.load_edm_basis(args.edm)
-            if basis.mode_index != i:
-                raise ValueError(f"--edm {args.edm} holds mode {basis.mode_index + 1}, not --mode {args.mode}")
-            if basis.mean_mode.shape[0] != db.n:
-                raise ValueError(f"--edm {args.edm} has {basis.mean_mode.shape[0]} rows, --db has n={db.n}")
-            if basis.sample_mus is not None and not np.array_equal(basis.sample_mus, db.mus):
-                raise ValueError(f"--edm {args.edm} was built on other sample parameters than --db")
+            edm_mod.check_basis(basis, db, i, f"--edm {args.edm}", "--mode", "--db")
         else:
             basis = edm_mod.extract_edm_basis(db, i, rank=args.rank, energy=args.energy)
         vec = edm_mod.interpolate_mode(basis, args.mu, scheme=args.scheme)
@@ -301,6 +296,9 @@ def _report_benchmark(args) -> int:
     if args.x0_mu is None:
         raise ValueError("report benchmark requires --x0-mu (equilibrium used as initial state)")
     db = _load_prepared(args.db)
+    slowest = db.eigenvalues[0, 0]  # sets the horizon; a real part within round-off of 0 does not decay
+    if not slowest.real < -1e-10 * abs(slowest):
+        raise ValueError(f"report benchmark needs a decaying spectrum; the slowest eigenvalue is {slowest:.6g}")
     sys_ = _build_system(db)
     m = db.m if args.m is None else args.m
     bases, left_bases = _edm_bases(db, m, rank=args.rank, energy=args.energy)

@@ -162,6 +162,17 @@ def compute_edms(
     )
 
 
+def check_basis(basis: EdmBasis, db: ModeDatabase, i: int, name="EDM basis", mode="mode", database="the database"):
+    """Raise ValueError unless ``basis`` was built from chain i of ``db``: same mode, row count and sample grid."""
+    if basis.mode_index != i:
+        raise ValueError(f"{name} holds mode {basis.mode_index + 1}, not {mode} {i + 1}")
+    if basis.mean_mode.shape[0] != db.n:
+        raise ValueError(f"{name} has {basis.mean_mode.shape[0]} rows, {database} has n={db.n}")
+    # bitwise, as the interpolation weights are cached per grid
+    if basis.sample_mus is not None and basis.sample_mus.tobytes() != db.mus.tobytes():
+        raise ValueError(f"{name} was built on other sample parameters than {database}")
+
+
 def extract_edm_basis(
     db: ModeDatabase,
     i: int,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .numerics import EigensolverError, MassFactor, is_symmetric, slowest_eigenpairs
+from .numerics import EigensolverError, MassFactor, slowest_eigenpairs
 from .systems import FullOrderSystem, traveling_bump_family
 
 
@@ -119,6 +119,15 @@ def mac(a: np.ndarray, b: np.ndarray, mass_factor: MassFactor) -> float:
     return float(abs(np.vdot(mass_factor @ a, mass_factor @ b)) ** 2)
 
 
+def _slowest_at(sys: FullOrderSystem, mu: float, m: int, want_left: bool = False):
+    """``slowest_eigenpairs`` of the pencil at mu; a failed solve is re-raised naming mu."""
+    A = sys.operator_at(mu)
+    try:
+        return slowest_eigenpairs(A, sys.mass, m, want_left=want_left)
+    except (EigensolverError, ValueError) as exc:
+        raise EigensolverError(f"eigensolve failed at mu={mu}: {exc}") from exc
+
+
 def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
     """Solve the eigenproblem at each sampled parameter and keep the m slowest modes.
 
@@ -141,32 +150,19 @@ def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
     if not 1 <= m <= sys.n:
         raise ValueError(f"mode count {m} out of range [1, {sys.n}]")
 
-    mass = sys.mass
-    factor = MassFactor.of(mass)
-
-    eigenvalues = np.empty((m, mus.size), dtype=complex)
-    rights, lefts = [], []
-    for k, mu in enumerate(mus):
-        A = sys.operator_at(mu)
-        try:
-            pairs = slowest_eigenpairs(A, mass, m, want_left=not is_symmetric(A))
-        except (EigensolverError, ValueError) as exc:
-            raise EigensolverError(f"eigensolve failed at mu={mu}: {exc}") from exc
-        if len(pairs) < m:
-            raise ValueError(
-                f"only {len(pairs)} tracked modes available at mu={mu}, requested {m}"
-            )
-        eigenvalues[:, k] = [pr.eigenvalue for pr in pairs]
-        rights.append(np.column_stack([pr.right_vector for pr in pairs]))
-        if pairs[0].left_vector is not None:
-            lefts.append(np.column_stack([pr.left_vector for pr in pairs]))
+    factor = MassFactor.of(sys.mass)  # refuses a bad mass before any solve
+    solves = [_slowest_at(sys, mu, m, want_left=True) for mu in mus]
+    for mu, (w, _, _) in zip(mus, solves):
+        if w.size < m:
+            raise ValueError(f"only {w.size} tracked modes available at mu={mu}, requested {m}")
+    eigenvalues, rights, lefts = zip(*solves)
 
     # stacking promotes every sample to complex when any one is
     return ModeDatabase(
         mus=mus,
-        eigenvalues=eigenvalues,
+        eigenvalues=np.stack(eigenvalues, axis=1),
         right=np.stack(rights, axis=2),
-        left=np.stack(lefts, axis=2) if lefts else None,
+        left=None if all(left is None for left in lefts) else np.stack(lefts, axis=2),
         mass_factor=factor,
         metadata=dict(sys.metadata),
     )
@@ -345,14 +341,9 @@ def mode_at(sys: FullOrderSystem, db: ModeDatabase, i: int, mu: float) -> np.nda
     if not 0 <= i < db.m:
         raise ValueError(f"mode index {i} out of range [0, {db.m})")
 
-    try:
-        pairs = slowest_eigenpairs(sys.operator_at(mu), sys.mass, min(2 * db.m, sys.n))
-    except (EigensolverError, ValueError) as exc:
-        raise EigensolverError(f"eigensolve failed at mu={mu}: {exc}") from exc
-
+    _, candidates, _ = _slowest_at(sys, mu, min(2 * db.m, sys.n))
     F = db.mass_factor
     nearest = int(np.argmin(np.abs(db.mus - mu)))
-    candidates = np.column_stack([pr.right_vector for pr in pairs])
     weighted = F @ candidates
     ref = F @ db.right[:, i, nearest]
     j = int(np.argmax(np.abs(ref.conj() @ weighted)))

@@ -1,9 +1,11 @@
 """Linear-algebra kernels with explicit accuracy contracts.
 
-The kernels take numpy arrays; ``solve_linear``, ``is_symmetric``,
-``slowest_eigenpairs`` and ``MassFactor.of`` also take ``scipy.sparse``
-matrices.  None mutates its inputs or holds state, so all are safe to call
-concurrently.  ``MassFactor`` is the one representation of the mass metric.
+The kernels take numpy arrays; ``solve_linear``, ``is_symmetric``, the
+eigensolvers (``generalized_eig`` densifies) and ``MassFactor.of`` also take
+``scipy.sparse`` matrices.  None mutates its inputs or holds state, so all
+are safe to call concurrently.  ``MassFactor`` is the one representation of
+the mass metric; the eigensolvers return ``(eigenvalues, right, left)``
+arrays, ``left`` None for a self-adjoint pencil as in a ``ModeDatabase``.
 """
 from __future__ import annotations
 
@@ -51,23 +53,10 @@ class EigensolverError(LinearAlgebraError):
     """Eigenvalue iteration failed to converge or produce a usable basis."""
 
 
-@dataclass(frozen=True)
-class SpectralPair:
-    """One eigenvalue with its right (and optionally left) eigenvector.
-
-    The right vector is normalized to unit mass-weighted norm.  When a left
-    vector is present it is scaled so that ``left.conj() @ E @ right == 1``.
-    """
-
-    eigenvalue: complex
-    right_vector: np.ndarray
-    left_vector: np.ndarray | None = None
-
-
 def _as_square(a, name: str, sparse: bool = False):
-    """``a`` as a square numpy array; with ``sparse``, a scipy.sparse ``a`` is kept as it is."""
+    """``a`` as a square numpy array, densified unless ``sparse`` keeps a scipy.sparse ``a`` as it is."""
     if not (sparse and sp.issparse(a)):
-        a = np.asarray(a)
+        a = as_dense(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinearAlgebraError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
@@ -204,7 +193,8 @@ def _spectral_order(w: np.ndarray) -> np.ndarray:
     """Sort order: descending real part, near-ties resolved by descending imag.
 
     Real parts within 1e-10 (relative to the spectral radius) count as ties,
-    so purely oscillatory spectra are not ordered by round-off noise.
+    so purely oscillatory spectra are not ordered by round-off noise: there
+    (λ = ±iω) the fastest oscillations come first.
     """
     order = list(np.argsort(-w.real, kind="stable"))
     tol = 1e-10 * max(1.0, float(np.max(np.abs(w))))
@@ -219,65 +209,51 @@ def _spectral_order(w: np.ndarray) -> np.ndarray:
     )
 
 
-def generalized_eig(A, E, want_left: bool = False) -> list[SpectralPair]:
-    """Eigenpairs of the pencil (A, E), sorted by descending real part.
+def generalized_eig(A, E, want_left: bool = False):
+    """Eigenpairs of (A, E) as ``(eigenvalues (n,) complex, right (n, n), left (n, n) or None)``.
 
-    Ties in the real part are broken by descending imaginary part.  Right
-    vectors are scaled to unit E-norm.  For real symmetric A the problem is
-    solved in its self-adjoint form, eigenvalues are real, the returned block
-    of right vectors is E-orthonormal, and left vectors (when requested) alias
-    the right ones.  Otherwise left vectors satisfy ψᴴA = λψᴴE and are scaled
-    so that ψᴴEφ = 1.
+    Sorted by descending real part, ties by descending imaginary part; the
+    columns of ``right`` have unit E-norm.  For real symmetric A the problem
+    is solved in its self-adjoint form: eigenvalues are real, ``right`` is
+    E-orthonormal and ``left`` is None even with ``want_left``.  Otherwise
+    ``want_left`` gives left vectors ψᴴA = λψᴴE with diag(leftᴴ E right) = 1;
+    a defective pencil raises EigensolverError naming its first such λ.
     """
     A = _as_square(A, "A")
     E = _as_square(E, "E")
     if A.shape != E.shape:
         raise LinearAlgebraError(f"dimension mismatch: A is {A.shape}, E is {E.shape}")
-    cholesky_factor(E)  # validates that E is SPD
+    cholesky_factor(E)  # validates that E is SPD (and so real)
 
-    if is_symmetric(A) and not np.iscomplexobj(E):
+    if is_symmetric(A):
         try:
             w, v = scipy.linalg.eigh(A, E)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
         order = np.argsort(-w)
-        pairs = []
-        for i in order:
-            phi = v[:, i]
-            pairs.append(
-                SpectralPair(complex(w[i]), phi, phi if want_left else None)
-            )
-        return pairs
+        return w[order].astype(complex), v[:, order], None
 
     try:
-        if want_left:
-            w, vl, vr = scipy.linalg.eig(A, E, left=True, right=True)
-        else:
-            w, vr = scipy.linalg.eig(A, E, right=True)
-            vl = None
+        w, *vectors = scipy.linalg.eig(A, E, left=want_left, right=True)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise EigensolverError("eigensolver returned non-finite eigenvalues")
 
     order = _spectral_order(w)
-    pairs = []
-    for i in order:
-        phi = vr[:, i]
-        nrm = np.sqrt(np.real(np.conj(phi) @ (E @ phi)))
-        phi = phi / nrm
-        psi = None
-        if vl is not None:
-            psi = vl[:, i]
-            c = np.conj(psi) @ (E @ phi)
-            if abs(c) < 1e-12:
-                raise EigensolverError(
-                    "left/right eigenvectors are E-orthogonal "
-                    f"(eigenvalue {w[i]:.6g}); pencil may be defective"
-                )
-            psi = psi / np.conj(c)
-        pairs.append(SpectralPair(complex(w[i]), phi, psi))
-    return pairs
+    w, vr = w[order], vectors[-1][:, order]
+    right = vr / np.sqrt(np.real(np.sum(vr.conj() * (E @ vr), axis=0)))
+    if not want_left:
+        return w, right, None
+    vl = vectors[0][:, order]
+    c = np.sum(vl.conj() * (E @ right), axis=0)
+    defective = np.flatnonzero(np.abs(c) < 1e-12)
+    if defective.size:
+        raise EigensolverError(
+            "left/right eigenvectors are E-orthogonal "
+            f"(eigenvalue {w[defective[0]]:.6g}); pencil may be defective"
+        )
+    return w, right, vl / c.conj()
 
 
 def _symmetric_lu(M) -> spla.SuperLU:
@@ -331,7 +307,7 @@ def _check_partial(A, E, w: np.ndarray, v: np.ndarray, m: int) -> None:
         )
 
 
-def _partial_symmetric(A, E, m: int, want_left: bool) -> list[SpectralPair]:
+def _partial_symmetric(A, E, m: int):
     n = A.shape[0]
     A, E = sp.csc_array(A), sp.csc_array(E)
     pivots = _symmetric_lu(E).U.diagonal()
@@ -364,13 +340,11 @@ def _partial_symmetric(A, E, m: int, want_left: bool) -> list[SpectralPair]:
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
     _check_partial(A, E, w, v, m)
-    return [
-        SpectralPair(complex(w[i]), v[:, i], v[:, i] if want_left else None) for i in range(m)
-    ]
+    return w[:m].astype(complex), v[:, :m], None
 
 
-def slowest_eigenpairs(A, E, m: int, want_left: bool = False) -> list[SpectralPair]:
-    """The m eigenpairs of (A, E) with the largest real parts, ordered as by generalized_eig.
+def slowest_eigenpairs(A, E, m: int, want_left: bool = False):
+    """The k <= m eigenpairs of (A, E) with the largest real parts, as generalized_eig returns them.
 
     ``A`` and ``E`` may be dense or scipy.sparse.  A real symmetric pencil
     with ``PARTIAL_FRACTION * m <= n`` takes the partial path: ARPACK in
@@ -387,8 +361,10 @@ def slowest_eigenpairs(A, E, m: int, want_left: bool = False) -> list[SpectralPa
     multiple eigenvalue fails the last check.
 
     Every other pencil is densified and solved in full by generalized_eig.
-    For a real pencil only the member of each complex-conjugate pair with
+    For a real A only the member of each complex-conjugate pair with
     non-negative imaginary part is kept, so fewer than m pairs can come back.
+    On a purely oscillatory spectrum all real parts tie and the largest
+    frequencies come first: there the "slowest" modes oscillate fastest.
     """
     A, E = _as_square(A, "A", sparse=True), _as_square(E, "E", sparse=True)
     if A.shape != E.shape:
@@ -397,12 +373,11 @@ def slowest_eigenpairs(A, E, m: int, want_left: bool = False) -> list[SpectralPa
     if not 1 <= m <= n:
         raise LinearAlgebraError(f"mode count {m} out of range [1, {n}]")
     if PARTIAL_FRACTION * m <= n and is_symmetric(A) and is_symmetric(E):
-        return _partial_symmetric(A, E, m, want_left)
-    A, E = as_dense(A), as_dense(E)
-    pairs = generalized_eig(A, E, want_left=want_left)
-    if not (np.iscomplexobj(A) or np.iscomplexobj(E)):
-        pairs = [pr for pr in pairs if pr.eigenvalue.imag >= 0.0]
-    return pairs[:m]
+        return _partial_symmetric(A, E, m)
+    w, right, left = generalized_eig(A, E, want_left=want_left)
+    # the conjugate partner of a real pencil's eigenpair is implied
+    keep = np.flatnonzero(np.iscomplexobj(A) | (w.imag >= 0.0))[:m]
+    return w[keep], right[:, keep], None if left is None else left[:, keep]
 
 
 def truncated_svd(M, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .edm import EdmBasis, interpolate_columns, interpolate_mode
+from .edm import EdmBasis, check_basis, interpolate_columns, interpolate_mode
 from .modal import ModeDatabase
 from .numerics import MassFactor, SingularMatrixError, as_dense, generalized_eig, solve_linear
 from .systems import FullOrderSystem, equilibrium
@@ -91,7 +91,8 @@ def build_rom_interpolated(
 
     ``strategy`` selects componentwise interpolation of the stored mode chains
     ("direct") or reconstruction from interpolated deformation coefficients
-    ("edm", which needs one EdmBasis per retained chain).  Eigenvalues are
+    ("edm", which needs one EdmBasis of ``db`` per retained chain, in chain
+    order: ``edm.check_basis`` refuses any other).  Eigenvalues are
     cubic-spline interpolated separately.  Left chains, when the system is not
     self-adjoint, are interpolated with the same strategy.  The interpolated
     bases are not re-bi-orthogonalized; the defect is stored on the Rom.
@@ -121,6 +122,9 @@ def build_rom_interpolated(
                 "deformation bases as well"
             )
         right, left = edm_bases[:m], None if db.left is None else left_edm_bases[:m]
+        for family, bases in (("right", right), ("left", left or ())):
+            for i, basis in enumerate(bases):
+                check_basis(basis, db, i, f"{family} EDM basis {i + 1}")
 
         def interpolate(edm_basis):
             return interpolate_mode(edm_basis, mu, mode_scheme)
@@ -203,12 +207,8 @@ def simulate_full(sys: FullOrderSystem, mu: float, x0, times, max_dense: int = 2
     x0 = np.asarray(x0, dtype=float)
     xbar = equilibrium(sys, mu)
 
-    A = as_dense(sys.operator_at(mu))
-    E = as_dense(sys.mass)
     try:
-        pairs = generalized_eig(A, E)
-        phi = np.column_stack([p.right_vector for p in pairs])
-        lam = np.array([p.eigenvalue for p in pairs])
+        lam, phi, _ = generalized_eig(sys.operator_at(mu), sys.mass)
         if np.linalg.cond(phi) > 1e12:
             raise SingularMatrixError("eigenbasis is ill-conditioned", rcond=0.0)
         c = solve_linear(phi, (x0 - xbar).astype(phi.dtype))

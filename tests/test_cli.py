@@ -227,6 +227,19 @@ class TestReports:
         assert len(rows) == 15
         assert all(float(r[2]) >= 0 for r in rows)
 
+    def test_benchmark_refuses_an_undamped_database(self, tmp_path, capsys):
+        # the spring chain neither decays nor has a source: no horizon and a zero reference
+        db_dir = tmp_path / "chain"
+        assert run("generate", "spring-chain", "--n-mass", "5", "--mu-grid", "0.5:4.5:4",
+                   "--m", "3", "--out", str(db_dir)) == 0
+        capsys.readouterr()
+        out = tmp_path / "bench.csv"
+        assert run("report", "benchmark", "--db", str(db_dir), "--x0-mu", "1.0", "--grid", "3",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip()
+        assert "needs a decaying spectrum" in err and "\n" not in err
+        assert not out.exists()
+
     def test_energy_report(self, rod_db_dir, tmp_path):
         out = tmp_path / "energy.csv"
         assert run("report", "energy", "--db", str(rod_db_dir), "--mode", "1",

@@ -107,6 +107,19 @@ class TestSampleSpectrum:
         with pytest.raises(EigensolverError, match="mu=2.0"):
             sample_spectrum(bad, np.array([0.0, 2.0]), 2)
 
+    @pytest.mark.parametrize("symmetric_at", [0.0, 1.0])
+    def test_left_modes_at_some_samples_only_refused(self, symmetric_at):
+        skew = np.array([[-2.0, 1.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, -4.0]])
+        sys_ = FullOrderSystem(
+            3,
+            np.eye(3),
+            lambda mu: np.diag([-2.0, -3.0, -4.0]) if mu == symmetric_at else skew,
+            lambda mu: np.zeros(3),
+            (0.0, 1.0),
+        )
+        with pytest.raises(ValueError):
+            sample_spectrum(sys_, np.array([0.0, 1.0]), 2)
+
     def test_complex_chain_tracks_upper_half_plane(self):
         from eigendeform.systems import spring_chain_with_defect
 
@@ -124,12 +137,12 @@ def dense_sample_spectrum(sys_, mus, m):
     eigenvalues, rights, lefts = [], [], []
     for mu in mus:
         A = sys_.operator_at(mu).toarray()
-        pairs = generalized_eig(A, mass, want_left=not is_symmetric(A))
-        pairs = [pr for pr in pairs if pr.eigenvalue.imag >= 0.0][:m]
-        eigenvalues.append([pr.eigenvalue for pr in pairs])
-        rights.append(np.column_stack([pr.right_vector for pr in pairs]))
-        if pairs[0].left_vector is not None:
-            lefts.append(np.column_stack([pr.left_vector for pr in pairs]))
+        lam, right, left = generalized_eig(A, mass, want_left=not is_symmetric(A))
+        tracked = np.flatnonzero(lam.imag >= 0.0)[:m]
+        eigenvalues.append(lam[tracked])
+        rights.append(right[:, tracked])
+        if left is not None:
+            lefts.append(left[:, tracked])
     left = np.stack(lefts, axis=2) if lefts else None
     return np.array(eigenvalues).T, np.stack(rights, axis=2), left
 

@@ -69,18 +69,16 @@ class TestIsSymmetric:
 
 class TestGeneralizedEig:
     def test_diagonal(self):
-        pairs = generalized_eig(np.diag([-1.0, -2.0]), np.eye(2))
-        assert [p.eigenvalue for p in pairs] == [-1.0, -2.0]
-        phi = np.column_stack([p.right_vector for p in pairs])
+        lam, phi, _ = generalized_eig(np.diag([-1.0, -2.0]), np.eye(2))
+        assert lam.tolist() == [-1.0, -2.0]
         assert np.allclose(np.abs(phi), np.eye(2))
 
     def test_hand_characteristic_polynomial(self):
         # lambda^2 + 3 lambda + 2 = 0 -> -1, -2; eigenvector of -1 is (1, -1)
         A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-        pairs = generalized_eig(A, np.eye(2))
-        lam = np.array([p.eigenvalue for p in pairs])
+        lam, phi, _ = generalized_eig(A, np.eye(2))
         assert np.allclose(lam, [-1.0, -2.0])
-        v = pairs[0].right_vector
+        v = phi[:, 0]
         assert np.allclose(v / v[0], [1.0, -1.0])
 
     def test_residual_and_normalization(self):
@@ -88,33 +86,44 @@ class TestGeneralizedEig:
         n = 12
         A = rng.standard_normal((n, n))
         E = random_spd(rng, n)
-        pairs = generalized_eig(A, E, want_left=True)
-        assert len(pairs) == n
-        for p in pairs:
-            lam, phi, psi = p.eigenvalue, p.right_vector, p.left_vector
+        w, right, left = generalized_eig(A, E, want_left=True)
+        assert w.shape == (n,)
+        for lam, phi, psi in zip(w, right.T, left.T):
             bound = 1e-8 * (np.linalg.norm(A) + abs(lam) * np.linalg.norm(E)) * np.linalg.norm(phi)
             assert np.linalg.norm(A @ phi - lam * (E @ phi)) <= bound
             assert abs(np.conj(phi) @ (E @ phi) - 1.0) <= 1e-10
             assert np.linalg.norm(np.conj(psi) @ A - lam * (np.conj(psi) @ E)) <= bound
             assert abs(np.conj(psi) @ (E @ phi) - 1.0) <= 1e-8
 
+    def test_biorthonormal_columns_on_non_symmetric_pencil(self):
+        rng = np.random.default_rng(6)
+        n = 9
+        A = rng.standard_normal((n, n))
+        E = random_spd(rng, n)
+        _, right, left = generalized_eig(A, E, want_left=True)
+        assert np.all(np.abs(np.diag(left.conj().T @ E @ right) - 1.0) <= 1e-10)
+        assert np.all(np.abs(np.einsum("ij,ik,kj->j", right.conj(), E, right) - 1.0) <= 1e-12)
+
     def test_symmetric_gives_real_orthonormal(self):
         rng = np.random.default_rng(4)
         n = 10
         A = random_spd(rng, n) * -1.0
         E = random_spd(rng, n)
-        pairs = generalized_eig(A, E, want_left=True)
-        lam = np.array([p.eigenvalue for p in pairs])
+        lam, phi, left = generalized_eig(A, E, want_left=True)
         assert np.all(lam.imag == 0)
-        phi = np.column_stack([p.right_vector for p in pairs])
         assert np.linalg.norm(phi.T @ E @ phi - np.eye(n)) <= 1e-8
-        assert pairs[0].left_vector is pairs[0].right_vector
+        assert left is None
+
+    def test_defective_pencil_names_its_eigenvalue(self):
+        # 5 comes first and is simple; the Jordan block's left and right eigenvectors of 2 are E-orthogonal
+        A = np.array([[5.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(EigensolverError, match=r"eigenvalue 2\b.*defective"):
+            generalized_eig(A, np.eye(3), want_left=True)
 
     def test_sort_descending_real_then_imag(self):
         # rotation block gives conjugate pair; +imag member must come first
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        pairs = generalized_eig(A, np.eye(2))
-        lam = [p.eigenvalue for p in pairs]
+        lam, _, _ = generalized_eig(A, np.eye(2))
         assert lam[0].imag > 0 > lam[1].imag
 
     def test_rank_one_sum_reconstructs_operator_action(self):
@@ -122,12 +131,9 @@ class TestGeneralizedEig:
         n = 7
         A = rng.standard_normal((n, n))
         E = random_spd(rng, n)
-        pairs = generalized_eig(A, E, want_left=True)
+        lam, right, left = generalized_eig(A, E, want_left=True)
         x = rng.standard_normal(n)
-        recon = sum(
-            p.eigenvalue * p.right_vector * (np.conj(p.left_vector) @ (E @ x))
-            for p in pairs
-        )
+        recon = right @ (lam * (left.conj().T @ (E @ x)))
         exact = np.linalg.solve(E, A @ x)
         assert np.linalg.norm(recon - exact) <= 1e-6 * np.linalg.norm(exact)
 
@@ -258,72 +264,108 @@ class TestSlowestEigenpairs:
         sys_ = heat_rod(n, h_left=h_left)
         A, E = sys_.operator_at(mu), sys_.mass
         Ed = E.toarray()
-        dense = generalized_eig(A.toarray(), Ed)[:6]
-        ref = np.array([pr.eigenvalue.real for pr in dense])
-        pairs = slowest_eigenpairs(A, E, 6)
-        assert sp.issparse(A) and len(pairs) == 6
-        lam = np.array([pr.eigenvalue for pr in pairs])
+        ref_lam, ref_right, _ = generalized_eig(A.toarray(), Ed)
+        ref = ref_lam[:6].real
+        lam, right, left = slowest_eigenpairs(A, E, 6)
+        assert sp.issparse(A) and lam.shape == (6,)
         assert np.all(lam.imag == 0.0)
         # relative above |λ| = 1, absolute below: the insulated rod's slowest eigenvalue is 0, and
         # the dense oracle itself is only accurate to eps ‖E⁻¹A‖ ≈ 6e-10 absolute at n = 800
         assert np.all(np.abs(lam.real - ref) <= 1e-9 * np.maximum(np.abs(ref), 1.0))
-        for pr, d in zip(pairs, dense):
-            phi, want = pr.right_vector, d.right_vector
+        for phi, want in zip(right.T, ref_right.T):
             sign = 1.0 if phi @ (Ed @ want) >= 0 else -1.0
             assert e_norm(Ed, phi - sign * want) <= 1e-8
-            assert pr.left_vector is None
+        assert left is None
 
     def test_partial_path_skips_the_dense_solver(self, monkeypatch):
         sys_ = heat_rod(60, h_left=0.0)
         use_no_dense_solver(monkeypatch)
-        pairs = slowest_eigenpairs(sys_.operator_at(0.0), sys_.mass, 4, want_left=True)
-        assert all(np.array_equal(pr.left_vector, pr.right_vector) for pr in pairs)
+        _, _, left = slowest_eigenpairs(sys_.operator_at(0.0), sys_.mass, 4, want_left=True)
+        assert left is None
+
+    @pytest.mark.parametrize(
+        "make, m, symmetric",
+        [
+            (lambda: heat_rod(40, h_left=1.0), 4, True),  # partial path
+            (lambda: heat_rod(12, h_left=1.0), 12, True),  # m = n: dense path
+            (lambda: first_order_form(spring_chain_with_defect(8)), 5, False),
+        ],
+        ids=["rod-partial", "rod-dense", "chain"],
+    )
+    @pytest.mark.parametrize("densify", [False, True], ids=["sparse", "dense"])
+    def test_shapes_and_dtypes(self, make, m, symmetric, densify):
+        sys_ = make()
+        A, E = sys_.operator_at(3.0), sys_.mass
+        if densify:
+            A, E = A.toarray(), E.toarray()
+        n = sys_.n
+        for lam, right, left, k in (
+            (*slowest_eigenpairs(A, E, m, want_left=True), m),
+            (*generalized_eig(A, E, want_left=True), n),
+        ):
+            assert lam.shape == (k,) and lam.dtype == np.complex128
+            assert right.shape == (n, k) and right.dtype == (np.float64 if symmetric else np.complex128)
+            if symmetric:
+                assert left is None
+            else:
+                assert left.shape == (n, k) and left.dtype == np.complex128
+
+    def test_real_pencil_returns_fewer_than_m(self):
+        # an undamped 3-mass chain has 3 conjugate pairs: only their upper members are tracked
+        fos = first_order_form(spring_chain_with_defect(3))
+        lam, right, left = slowest_eigenpairs(fos.operator_at(1.0), fos.mass, 5, want_left=True)
+        assert lam.shape == (3,) and right.shape == (6, 3) and left.shape == (6, 3)
+        assert np.all(lam.imag > 0)
+
+    def test_left_vectors_only_on_request(self):
+        fos = first_order_form(spring_chain_with_defect(6))
+        _, _, left = slowest_eigenpairs(fos.operator_at(1.0), fos.mass, 3)
+        assert left is None
 
     def test_repeated_calls_agree_bitwise(self):
         sys_ = heat_rod(300, h_left=1.0)
         first = slowest_eigenpairs(sys_.operator_at(14.0), sys_.mass, 6)
         second = slowest_eigenpairs(sys_.operator_at(14.0), sys_.mass, 6)
-        for a, b in zip(first, second):
-            assert a.eigenvalue == b.eigenvalue
-            assert np.array_equal(a.right_vector, b.right_vector)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
 
     def test_dense_input_takes_the_partial_path(self, monkeypatch):
         sys_ = heat_rod(40, h_left=1.0)
         A, E = sys_.operator_at(3.0), sys_.mass
-        sparse = slowest_eigenpairs(A, E, 5)
+        sparse, _, _ = slowest_eigenpairs(A, E, 5)
         use_no_dense_solver(monkeypatch)
-        dense = slowest_eigenpairs(A.toarray(), E.toarray(), 5)
-        assert np.allclose([p.eigenvalue for p in dense], [p.eigenvalue for p in sparse], rtol=1e-12)
+        dense, _, _ = slowest_eigenpairs(A.toarray(), E.toarray(), 5)
+        assert np.allclose(dense, sparse, rtol=1e-12)
 
     def test_shift_grows_above_positive_eigenvalues(self):
         # spectrum 0, 1, ..., 99: the slowest modes are the largest, far above the first shift
         n = 100
         A = sp.diags_array(np.arange(n, dtype=float), format="csr")
-        pairs = slowest_eigenpairs(A, sp.diags_array(np.ones(n), format="csr"), 3)
-        assert np.allclose([p.eigenvalue.real for p in pairs], [99.0, 98.0, 97.0], rtol=1e-12)
-        for p, k in zip(pairs, (99, 98, 97)):
-            assert abs(abs(p.right_vector[k]) - 1.0) <= 1e-10
+        lam, right, _ = slowest_eigenpairs(A, sp.diags_array(np.ones(n), format="csr"), 3)
+        assert np.allclose(lam.real, [99.0, 98.0, 97.0], rtol=1e-12)
+        for phi, k in zip(right.T, (99, 98, 97)):
+            assert abs(abs(phi[k]) - 1.0) <= 1e-10
 
     def test_m_equal_n_takes_the_dense_path(self, monkeypatch):
         sys_ = heat_rod(12, h_left=1.0)
         A, E = sys_.operator_at(5.0), sys_.mass
         use_no_arpack(monkeypatch)
-        pairs = slowest_eigenpairs(A, E, 12)
-        dense = generalized_eig(A.toarray(), E.toarray())
-        assert [p.eigenvalue for p in pairs] == [p.eigenvalue for p in dense]
-        assert all(np.array_equal(p.right_vector, d.right_vector) for p, d in zip(pairs, dense))
+        lam, right, _ = slowest_eigenpairs(A, E, 12)
+        dense_lam, dense_right, _ = generalized_eig(A.toarray(), E.toarray())
+        assert lam.tolist() == dense_lam.tolist()
+        assert np.array_equal(right, dense_right)
 
     def test_non_symmetric_pencil_takes_the_dense_path(self, monkeypatch):
         fos = first_order_form(spring_chain_with_defect(20))
         A, E = fos.operator_at(3.3), fos.mass
         use_no_arpack(monkeypatch)
-        pairs = slowest_eigenpairs(A, E, 5, want_left=True)
-        tracked = [p for p in generalized_eig(A.toarray(), E.toarray(), want_left=True) if p.eigenvalue.imag >= 0]
-        assert len(pairs) == 5
-        for p, d in zip(pairs, tracked):
-            assert p.eigenvalue == d.eigenvalue
-            assert np.array_equal(p.right_vector, d.right_vector)
-            assert np.array_equal(p.left_vector, d.left_vector)
+        lam, right, left = slowest_eigenpairs(A, E, 5, want_left=True)
+        full_lam, full_right, full_left = generalized_eig(A.toarray(), E.toarray(), want_left=True)
+        tracked = full_lam.imag >= 0
+        assert lam.shape == (5,)
+        assert np.array_equal(lam, full_lam[tracked][:5])
+        assert np.array_equal(right, full_right[:, tracked][:, :5])
+        assert np.array_equal(left, full_left[:, tracked][:, :5])
 
     def test_mode_count_validated(self):
         sys_ = heat_rod(10)
@@ -363,10 +405,10 @@ class TestPartialSelfChecks:
         return sys_.operator_at(10.0), sys_.mass
 
     def test_stand_in_passes_when_it_returns_the_right_modes(self, pencil, monkeypatch):
-        expected = slowest_eigenpairs(*pencil, 4)
+        expected, _, _ = slowest_eigenpairs(*pencil, 4)
         monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack())
-        got = slowest_eigenpairs(*pencil, 4)
-        assert np.allclose([p.eigenvalue for p in got], [p.eigenvalue for p in expected], rtol=1e-10)
+        got, _, _ = slowest_eigenpairs(*pencil, 4)
+        assert np.allclose(got, expected, rtol=1e-10)
 
     def test_missed_slowest_mode_fails_the_inertia_count(self, pencil, monkeypatch):
         monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(skip=1))

@@ -233,6 +233,31 @@ class TestBuildRomInterpolated:
         with pytest.raises(ValueError):
             build_rom_interpolated(rod_db, 3.0, 6, strategy="edm")
 
+    def test_edm_refuses_bases_of_other_chains(self, rod_db):
+        bases = [extract_edm_basis(rod_db, i, rank=2) for i in range(6)]
+        with pytest.raises(ValueError, match="right EDM basis 1 holds mode 6, not mode 1"):
+            build_rom_interpolated(rod_db, 3.0, 6, strategy="edm", edm_bases=bases[::-1])
+
+    def test_edm_refuses_bases_of_another_size(self, rod_db):
+        other = align_signs(pair_modes(sample_spectrum(heat_rod(24, h_left=1.0), rod_db.mus, 6)))
+        bases = [extract_edm_basis(other, i, rank=2) for i in range(6)]
+        with pytest.raises(ValueError, match="right EDM basis 1 has 24 rows, the database has n=30"):
+            build_rom_interpolated(rod_db, 3.0, 6, strategy="edm", edm_bases=bases)
+
+    def test_edm_refuses_bases_of_another_sample_grid(self, rod, rod_db):
+        other = align_signs(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 7), 6)))
+        bases = [extract_edm_basis(other, i, rank=2) for i in range(6)]
+        with pytest.raises(ValueError, match="right EDM basis 1 was built on other sample parameters"):
+            build_rom_interpolated(rod_db, 3.0, 6, strategy="edm", edm_bases=bases)
+
+    def test_edm_refuses_left_bases_of_other_chains(self):
+        fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
+        db = align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 5), 3)))
+        right = [extract_edm_basis(db, i, rank=3) for i in range(3)]
+        left = [extract_edm_basis(db, i, rank=3, which="left") for i in range(3)]
+        with pytest.raises(ValueError, match="left EDM basis 1 holds mode 3, not mode 1"):
+            build_rom_interpolated(db, 2.2, 3, strategy="edm", edm_bases=right, left_edm_bases=left[::-1])
+
     def test_extrapolation_rejected(self, rod_db):
         with pytest.raises(OutOfDomainError):
             build_rom_interpolated(rod_db, 99.0, 6, strategy="direct")
