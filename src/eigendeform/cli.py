@@ -1,7 +1,8 @@
 """Command-line pipeline: generate, prepare, compress, interpolate, report.
 
 Every command exits 0 on success and 1 with a single-line diagnostic on
-failure; argparse handles usage errors with exit code 2.  When ``--out`` is
+failure (``--debug`` re-raises instead, showing the full traceback); argparse
+handles usage errors with exit code 2.  When ``--out`` is
 omitted, outputs land under the directory named by the EIGENDEFORM_OUT
 environment variable (default: current directory).
 """
@@ -385,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eigendeform",
         description="Low-order eigenmode-deformation analysis of parameterized systems",
     )
+    parser.add_argument("--debug", action="store_true",
+                        help="on failure, raise with the full traceback instead of a one-line error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="build a mode database from a generator")
@@ -491,6 +494,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # single-line diagnostic, nonzero exit
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dgemm
 
-from .edm import EdmBasis, check_basis, interpolate_columns, interpolate_mode
+from .edm import EdmBasis, check_basis, interpolate_columns
 from .modal import ModeDatabase
 from .numerics import MassFactor, SingularMatrixError, as_dense, generalized_eig, solve_linear
 from .systems import FullOrderSystem, equilibrium
@@ -44,7 +45,7 @@ class Trajectory:
     """Time grid plus one state column per instant."""
 
     times: np.ndarray  # (nt,)
-    states: np.ndarray  # (n, nt)
+    states: np.ndarray  # (n, nt), column-major when built by simulate_rom
 
 
 def _rom(db: ModeDatabase, mu, basis, adjoint, eigenvalues, equilibrium) -> Rom:
@@ -92,10 +93,14 @@ def build_rom_interpolated(
     ``strategy`` selects componentwise interpolation of the stored mode chains
     ("direct") or reconstruction from interpolated deformation coefficients
     ("edm", which needs one EdmBasis of ``db`` per retained chain, in chain
-    order: ``edm.check_basis`` refuses any other).  Eigenvalues are
-    cubic-spline interpolated separately.  Left chains, when the system is not
-    self-adjoint, are interpolated with the same strategy.  The interpolated
-    bases are not re-bi-orthogonalized; the defect is stored on the Rom.
+    order: ``edm.check_basis`` refuses any other).  Interpolation is linear in
+    the sampled values, so one weight vector w on the sample grid serves every
+    chain: column i of the basis is ``block_i @ w`` (direct) or
+    ``mean_i + edms_i @ (coefficients_i @ w)`` (edm), written into one
+    preallocated (n, m) array.  Eigenvalues are cubic-spline interpolated
+    separately.  Left chains, when the system is not self-adjoint, are
+    interpolated with the same strategy.  The interpolated bases are not
+    re-bi-orthogonalized; the defect is stored on the Rom.
     """
     if not (db.paired and db.aligned):
         raise ValueError("database must be paired and aligned before interpolation")
@@ -111,8 +116,11 @@ def build_rom_interpolated(
         right = [db.right_block(i) for i in range(m)]
         left = None if db.left is None else [db.left_block(i) for i in range(m)]
 
-        def interpolate(block):
-            return interpolate_columns(mus, block, mu, mode_scheme)
+        def column(block, w):
+            return block @ w
+
+        def operands(block):
+            return (block,)
     else:
         if edm_bases is None or len(edm_bases) < m:
             raise ValueError("edm strategy needs one deformation basis per retained mode")
@@ -125,12 +133,27 @@ def build_rom_interpolated(
         for family, bases in (("right", right), ("left", left or ())):
             for i, basis in enumerate(bases):
                 check_basis(basis, db, i, f"{family} EDM basis {i + 1}")
+        # check_basis lets a basis without a sample grid through; the weights need one
+        if any(basis.sample_mus is None for basis in [*right, *(left or ())]):
+            raise ValueError("basis carries no sample parameters to interpolate against")
 
-        def interpolate(edm_basis):
-            return interpolate_mode(edm_basis, mu, mode_scheme)
+        def column(edm_basis, w):
+            return edm_basis.mean_mode + edm_basis.edms @ (edm_basis.coefficients @ w)
 
-    basis = np.column_stack([interpolate(item) for item in right])
-    adjoint = basis if left is None else np.column_stack([interpolate(item) for item in left])
+        def operands(edm_basis):
+            return edm_basis.mean_mode, edm_basis.edms, edm_basis.coefficients
+
+    weights = interpolate_columns(mus, np.eye(mus.size), mu, mode_scheme)
+
+    def interpolate(items):
+        dtype = np.result_type(weights, *[a for item in items for a in operands(item)])
+        block = np.empty((db.n, len(items)), dtype)
+        for i, item in enumerate(items):
+            block[:, i] = column(item, weights)
+        return block
+
+    basis = interpolate(right)
+    adjoint = basis if left is None else interpolate(left)
     return _rom(db, mu, basis, adjoint, eigenvalues, equilibrium)
 
 
@@ -141,26 +164,57 @@ def simulate_rom(rom: Rom, x0, times) -> Trajectory:
     from the linearization point.  Tracked members of complex-conjugate
     eigenpairs contribute twice their real part, which reconstructs the real
     trajectory of the underlying real system.
+
+    The lift writes each state once: ``states`` is allocated column-major,
+    filled with x̄, and one real GEMM accumulates Φ · C into it.  A complex
+    basis is read as n × 2m floats ``[Re φ₁, Im φ₁, …]`` against coefficient
+    rows ``[Re c₁; −Im c₁; …]``, which gives Re(Φ C) in real arithmetic.
+    Coefficients below the smallest normal float (fast modes that decayed
+    into subnormals) are set to zero; that moves no state entry by more than
+    ‖Φ‖∞ · 2.2e-308.
     """
     times = _check_times(times)
+    n, m = rom.basis.shape
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (rom.basis.shape[0],):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({rom.basis.shape[0]},)")
+    if x0.shape != (n,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
+    for name, array, shape in (
+        ("eigenvalues", rom.eigenvalues, (m,)),
+        ("adjoint", rom.adjoint, (n, m)),
+        ("equilibrium", rom.equilibrium, (n,)),
+    ):
+        if np.shape(array) != shape:
+            raise ValueError(
+                f"ROM {name} of shape {np.shape(array)} does not fit its ({n}, {m}) basis; expected {shape}"
+            )
 
     dx0 = x0 - rom.equilibrium
     F = rom.mass_factor
     xhat0 = (F @ rom.adjoint).conj().T @ (F @ dx0)
 
     lam = rom.eigenvalues
-    if not (np.iscomplexobj(rom.basis) or np.any(lam.imag)):
+    complex_basis = np.iscomplexobj(rom.basis)
+    if not (complex_basis or np.any(lam.imag)):
         lam = lam.real  # real spectrum and basis: keep the lift a real product
     pair_weight = np.where(
-        np.iscomplexobj(rom.basis) & (np.abs(lam.imag) > 1e-12 * np.maximum(1.0, np.abs(lam))),
+        complex_basis & (np.abs(lam.imag) > 1e-12 * np.maximum(1.0, np.abs(lam))),
         2.0,
         1.0,
     )
     modal = (pair_weight * xhat0)[:, None] * np.exp(np.outer(lam, times))
-    states = rom.equilibrium[:, None] + np.real(rom.basis @ modal)
+    if complex_basis:
+        basis = np.ascontiguousarray(rom.basis, dtype=complex).view(float)
+        coefficients = np.stack([modal.real, -modal.imag], axis=1).reshape(2 * m, times.size)
+    else:
+        basis = rom.basis
+        coefficients = np.ascontiguousarray(modal.real, dtype=float)
+    coefficients[np.abs(coefficients) < np.finfo(float).tiny] = 0.0
+
+    states = np.empty((n, times.size), order="F")
+    states[:] = rom.equilibrium[:, None]
+    # transposed views keep a C-ordered basis from being copied to Fortran order
+    a, trans_a = (basis.T, 1) if basis.flags.c_contiguous else (basis, 0)
+    states = dgemm(1.0, a, coefficients.T, beta=1.0, c=states, overwrite_c=True, trans_a=trans_a, trans_b=1)
     return Trajectory(times, states)
 
 

@@ -2,10 +2,14 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigendeform
 from eigendeform.cli import _write_csv, main
 from eigendeform.io import load_database, load_edm_basis
 
@@ -84,6 +88,23 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             run("generate", "nonsense", "--mu-grid", "0:1:2", "--out", str(tmp_path / "x"))
         assert exc.value.code == 2
+
+
+class TestDebugFlag:
+    # without --debug: TestGenerate.test_bad_grid_is_single_line_error
+    def test_debug_reraises(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="mu grid"):
+            run("--debug", "generate", "heat-rod", "--mu-grid", "0:28", "--out", str(tmp_path / "x"))
+        assert capsys.readouterr().err == ""
+
+    def test_debug_prints_the_traceback(self, tmp_path):
+        src = str(Path(eigendeform.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "eigendeform.cli", "--debug", "modes", "--db", str(tmp_path / "missing")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Traceback (most recent call last):")
+        assert "load_database" in proc.stderr
 
 
 class TestPrepareCommands:

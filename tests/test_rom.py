@@ -1,7 +1,17 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from eigendeform.edm import OutOfDomainError, extract_edm_basis
+import eigendeform.rom as rom_module
+from eigendeform.edm import (
+    OutOfDomainError,
+    direct_interpolate,
+    extract_edm_basis,
+    interpolate_columns,
+    interpolate_mode,
+)
 from eigendeform.modal import align_phases, align_signs, pair_modes, sample_spectrum
 from eigendeform.numerics import MassFactor
 from eigendeform.rom import (
@@ -34,6 +44,39 @@ def rod():
 @pytest.fixture(scope="module")
 def rod_db(rod):
     return align_signs(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 8), 6)))
+
+
+@pytest.fixture(scope="module")
+def chain_db():
+    fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
+    return align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 5), 3)))
+
+
+def edm_bases(db, rank=2):
+    """Right and left (None when self-adjoint) deformation bases of every chain."""
+    right = [extract_edm_basis(db, i, rank=rank) for i in range(db.m)]
+    left = None if db.left is None else [extract_edm_basis(db, i, rank=rank, which="left") for i in range(db.m)]
+    return right, left
+
+
+def explicit_lift(rom, x0, times):
+    """x̄ + Re(Φ · diag(weight ⊙ x̂₀) · e^{λt}), all in complex arithmetic."""
+    F = rom.mass_factor
+    xhat0 = (F @ rom.adjoint).conj().T @ (F @ (x0 - rom.equilibrium))
+    lam = rom.eigenvalues.astype(complex)
+    conjugate_pair = np.iscomplexobj(rom.basis) & (np.abs(lam.imag) > 1e-12 * np.maximum(1.0, np.abs(lam)))
+    modal = (np.where(conjugate_pair, 2.0, 1.0) * xhat0)[:, None] * np.exp(np.outer(lam, times))
+    return rom.equilibrium[:, None] + np.real(rom.basis.astype(complex) @ modal)
+
+
+def assert_lift_matches_formula(rom, x0, times):
+    """simulate_rom is real float64, finite, and within 1e-13 of explicit_lift relative to the deviation."""
+    states = simulate_rom(rom, x0, times).states
+    expected = explicit_lift(rom, x0, times)
+    assert states.dtype == np.float64 and states.shape == expected.shape
+    assert np.all(np.isfinite(states))
+    deviation = expected - rom.equilibrium[:, None]
+    assert np.linalg.norm(states - expected) <= 1e-13 * np.linalg.norm(deviation)
 
 
 def diag_system(lams):
@@ -129,20 +172,68 @@ class TestSimulateRom:
         rom = build_rom_interpolated(rod_db, 13.0, 6, edm_bases=bases, equilibrium=xbar)
         assert np.iscomplexobj(rom.eigenvalues) and not np.any(rom.eigenvalues.imag)
         x0 = equilibrium(rod, 90.0)
-        times = np.linspace(0.0, default_horizon(rod_db), 201)
-        traj = simulate_rom(rom, x0, times)
-        F = rom.mass_factor
-        xhat0 = (F @ rom.adjoint).T @ (F @ (x0 - xbar))
-        modal = xhat0[:, None] * np.exp(np.outer(rom.eigenvalues, times))
-        deviation = np.real(rom.basis.astype(complex) @ modal)
-        assert np.isrealobj(traj.states)
-        misfit = np.linalg.norm(traj.states - xbar[:, None] - deviation)
-        assert misfit <= 1e-12 * np.linalg.norm(deviation)
+        assert_lift_matches_formula(rom, x0, np.linspace(0.0, default_horizon(rod_db), 201))
 
     def test_time_grid_validation(self, rod_db):
         rom = build_rom_at_sample(rod_db, rod_db.mus[0], 2, None)
         with pytest.raises(ValueError):
             simulate_rom(rom, np.zeros(rod_db.n), np.array([1.0, 0.5]))
+
+
+class TestLift:
+    """simulate_rom against the explicit complex formula, and what its one GEMM may allocate."""
+
+    def test_complex_chain_with_left_modes(self, chain_db):
+        right, left = edm_bases(chain_db, rank=3)
+        rom = build_rom_interpolated(chain_db, 2.2, 3, edm_bases=right, left_edm_bases=left)
+        assert rom.adjoint is not rom.basis and np.iscomplexobj(rom.basis)
+        assert np.all(np.abs(rom.eigenvalues.imag) > 0.1)  # every mode is half a conjugate pair: weight 2
+        x0 = np.random.default_rng(5).standard_normal(chain_db.n)
+        assert_lift_matches_formula(rom, x0, np.linspace(0.0, 30.0, 301))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_decay_through_subnormals(self, dtype):
+        rng = np.random.default_rng(11)
+        basis = rng.standard_normal((5, 2)).astype(dtype)
+        rom = Rom(0.0, basis, basis, np.array([-1.0, -800.0]), rng.standard_normal(5), MassFactor(5), 0.0)
+        times = np.linspace(0.0, 1.5, 1501)
+        decay = np.exp(-800.0 * times)
+        assert np.any((decay > 0.0) & (decay < np.finfo(float).tiny))  # the horizon crosses the subnormals
+        assert_lift_matches_formula(rom, rng.standard_normal(5), times)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("eigenvalues", np.array([-1.0, -2.0, -3.0]), r"eigenvalues of shape \(3,\)"),
+            ("adjoint", np.ones((4, 3)), r"adjoint of shape \(4, 3\)"),
+            ("equilibrium", np.zeros(1), r"equilibrium of shape \(1,\)"),
+        ],
+        ids=["eigenvalues", "adjoint", "equilibrium"],
+    )
+    def test_shape_mismatch_is_a_clear_error(self, field, value, match):
+        fields = dict(
+            mu=0.0, basis=np.ones((4, 2)), adjoint=np.ones((4, 2)), eigenvalues=np.array([-1.0, -2.0]),
+            equilibrium=np.zeros(4), mass_factor=MassFactor(4), biorth_defect=0.0,
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=match):
+            simulate_rom(Rom(**fields), np.zeros(4), np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_peak_memory_is_one_state_array(self, dtype):
+        n, nt, m = 800, 1001, 6
+        rng = np.random.default_rng(2)
+        basis = rng.standard_normal((n, m)).astype(dtype)
+        lam = -np.arange(1.0, m + 1) + (1j * np.arange(1.0, m + 1) if dtype is complex else 0.0)
+        rom = Rom(0.0, basis, basis, lam, rng.standard_normal(n), MassFactor(n), 0.0)
+        x0, times = rng.standard_normal(n), np.linspace(0.0, 5.0, nt)
+        tracemalloc.start()
+        try:
+            simulate_rom(rom, x0, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * nt * 8
 
 
 class TestSimulateFull:
@@ -275,6 +366,58 @@ class TestBuildRomInterpolated:
         left = [extract_edm_basis(db, i, rank=3, which="left") for i in range(3)]
         rom2 = build_rom_interpolated(db, 2.2, 3, strategy="edm", edm_bases=right, left_edm_bases=left)
         assert rom2.basis.shape == (10, 3)
+
+
+class TestOneWeightBuild:
+    """One weight vector per build, and every column bitwise the per-chain interpolation it replaces."""
+
+    @pytest.mark.parametrize("strategy", ["direct", "edm"])
+    @pytest.mark.parametrize("name", ["rod_db", "chain_db"])
+    def test_columns_equal_per_chain_interpolation(self, request, name, strategy):
+        db = request.getfixturevalue(name)
+        right, left = edm_bases(db)
+        lo, hi = db.mus[0], db.mus[-1]
+        for mu in (lo + 0.13 * (hi - lo), 0.5 * (lo + hi) + 0.01, hi - 0.07 * (hi - lo), db.mus[1]):
+            rom = build_rom_interpolated(db, mu, db.m, strategy, right, left)
+            if strategy == "edm":
+                basis = np.column_stack([interpolate_mode(b, mu) for b in right])
+                adjoint = None if left is None else np.column_stack([interpolate_mode(b, mu) for b in left])
+            else:
+                basis = np.column_stack([direct_interpolate(db, i, mu) for i in range(db.m)])
+                adjoint = None if db.left is None else np.column_stack(
+                    [interpolate_columns(db.mus, db.left_block(i), mu) for i in range(db.m)]
+                )
+            assert np.array_equal(rom.basis, basis)
+            if adjoint is None:
+                assert rom.adjoint is rom.basis
+                adjoint = basis
+            else:
+                assert np.array_equal(rom.adjoint, adjoint)
+            F = db.mass_factor
+            gram = (F @ adjoint).conj().T @ (F @ basis)
+            assert rom.biorth_defect == float(np.linalg.norm(gram - np.eye(db.m)))
+
+    @pytest.mark.parametrize("strategy", ["direct", "edm"])
+    @pytest.mark.parametrize("name", ["rod_db", "chain_db"])
+    def test_two_interpolations_per_build(self, request, monkeypatch, name, strategy):
+        db = request.getfixturevalue(name)
+        right, left = edm_bases(db)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return interpolate_columns(*args)
+
+        monkeypatch.setattr(rom_module, "interpolate_columns", counting)
+        build_rom_interpolated(db, 0.5 * (db.mus[1] + db.mus[2]), db.m, strategy, right, left)
+        # cubic eigenvalues, then the one weight vector shared by every chain
+        assert [args[-1] for args in calls] == ["cubic", "linear"]
+
+    def test_basis_without_sample_grid_refused(self, rod_db):
+        right, _ = edm_bases(rod_db)
+        right[3] = dataclasses.replace(right[3], sample_mus=None)
+        with pytest.raises(ValueError, match="basis carries no sample parameters"):
+            build_rom_interpolated(rod_db, 3.0, 6, strategy="edm", edm_bases=right)
 
 
 class TestSolutionInterpolation:
