@@ -126,28 +126,35 @@ def _identity_coo_bytes(n: int) -> bytes:
     return ("\n".join(f"{i} {i} 1.0" for i in range(n)) + "\n").encode()
 
 
+_COO_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
 def _coo_parse(data: bytes, n: int) -> sp.coo_array:
-    """The n x n mass matrix of E.coo's lines; an entry listed twice is refused."""
-    rows, cols, vals = [], [], []
-    for lineno, line in enumerate(data.decode().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            i_s, j_s, v_s = line.split()
-            i, j, v = int(i_s), int(j_s), float(v_s)
-        except ValueError as exc:
-            raise FormatError(f"E.coo line {lineno}: expected 'row col value', got {line!r}") from exc
-        if not (0 <= i < n and 0 <= j < n):
-            raise FormatError(f"E.coo line {lineno}: index ({i}, {j}) outside {n}x{n}")
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    """The n x n mass matrix of E.coo's lines; an entry listed twice is refused.
+
+    Lines split on whitespace and blank lines are skipped; numpy's C reader
+    converts every field, so a bad line is refused with numpy's own location.
+    """
+    try:
+        text = data.decode()
+        # a blank file has no entries; loadtxt would warn that it found no data
+        entries = (
+            np.loadtxt(text.splitlines(), dtype=_COO_ENTRY, comments=None, ndmin=1)
+            if text.strip()
+            else np.empty(0, dtype=_COO_ENTRY)
+        )
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise FormatError(f"E.coo: expected 'row col value' lines; {exc}") from exc
+    rows, cols = entries["row"], entries["col"]
+    outside = np.flatnonzero((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))
+    if outside.size:
+        k = outside[0]
+        raise FormatError(f"E.coo: index ({rows[k]}, {cols[k]}) outside {n}x{n}")
     keys = np.sort(rows * n + cols, kind="stable")  # row-major files are sorted already
     repeated = keys[1:][keys[1:] == keys[:-1]]
     if repeated.size:
         raise FormatError(f"E.coo lists entry ({repeated[0] // n}, {repeated[0] % n}) more than once")
-    return sp.coo_array((np.array(vals, dtype=float), (rows, cols)), shape=(n, n))
+    return sp.coo_array((entries["value"], (rows, cols)), shape=(n, n))
 
 
 def _read_file(path: Path, arrays: dict, name: str) -> bytes:

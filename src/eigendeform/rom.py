@@ -274,6 +274,8 @@ def simulate_full(sys: FullOrderSystem, mu: float, x0, times, max_dense: int = 2
         )
         return crank_nicolson(sys, mu, x0, times)
 
+    if not np.iscomplexobj(phi) and not np.any(lam.imag):
+        lam = lam.real  # a real spectrum and basis: lift without complex n x nt arrays
     modal = c[:, None] * np.exp(np.outer(lam, times))
     states = xbar[:, None] + np.real(phi @ modal)
     return Trajectory(times, states)

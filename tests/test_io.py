@@ -3,12 +3,16 @@ import os
 import stat
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eigendeform.edm import extract_edm_basis
 from eigendeform.io import (
+    _coo_bytes,
+    _coo_parse,
     _write_atomic,
     ChecksumError,
     FormatError,
@@ -17,7 +21,15 @@ from eigendeform.io import (
     save_database,
     save_edm_basis,
 )
-from eigendeform.modal import align_phases, align_signs, bump_database, pair_modes, sample_spectrum
+from eigendeform.modal import (
+    align_phases,
+    align_signs,
+    bump_database,
+    database_from_modes,
+    pair_modes,
+    sample_spectrum,
+)
+from eigendeform.numerics import IndefiniteMatrixError, MassFactor
 from eigendeform.systems import first_order_form, heat_rod, spring_chain_with_defect
 
 
@@ -145,6 +157,91 @@ class TestTamperDetection:
         (path / "E.coo").write_bytes(bad)
         with pytest.raises(FormatError, match="row col value"):
             load_database(path)
+
+
+def special_values(rng, size: int) -> np.ndarray:
+    """Random values over every exponent, after nan, ±inf, ±0.0, subnormals and the largest float."""
+    tiny = np.finfo(float).tiny
+    fixed = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, tiny / 3, tiny, 1.7976931348623157e308]
+    bits = rng.integers(0, 0x7FF0_0000_0000_0000, size, dtype=np.uint64)  # every finite exponent
+    signs = rng.choice([-1.0, 1.0], size)
+    return np.concatenate([fixed, signs * bits.view(np.float64)])
+
+
+def bit_equal(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestCooParse:
+    N = 8
+
+    def parse(self, data: bytes):
+        coo = _coo_parse(data, self.N)
+        return coo.row.tolist(), coo.col.tolist(), coo.data.tolist()
+
+    def test_written_values_read_back_bit_exact(self):
+        rng = np.random.default_rng(20240611)
+        values = special_values(rng, 5000)
+        n = values.size  # one entry per row and per column, so no entry repeats
+        rows = rng.permutation(n)
+        cols = rng.permutation(n)
+        coo = _coo_parse(_coo_bytes(sp.coo_array((values, (rows, cols)), shape=(n, n))), n)
+        assert np.array_equal(coo.row, rows) and np.array_equal(coo.col, cols)
+        assert coo.data.dtype == np.float64 and bit_equal(coo.data, values)
+
+    def test_saved_diagonal_mass_loads_to_the_same_factor_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(7)
+        diagonal = np.abs(special_values(rng, 200))
+        diagonal = diagonal[np.isfinite(diagonal) & (diagonal > 0)]  # the masses MassFactor accepts
+        n = diagonal.size
+        mass = sp.coo_array((diagonal, (np.arange(n),) * 2), shape=(n, n))
+        db = database_from_modes([0.0, 1.0], rng.standard_normal((n, 1, 2)), mass=mass, paired=True)
+        path = save_database(db, tmp_path / "db")
+        written = db.mass_factor.mass()
+        assert (path / "E.coo").read_bytes() == _coo_bytes(written)
+        loaded = load_database(path).mass_factor
+        assert loaded.kind == "diagonal" and bit_equal(loaded.scale, MassFactor.of(written).scale)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"0 0 1.0\r\n1 1 2.5\r\n",
+            b"0\t0\t1.0\n1 \t 1\t2.5\n",
+            b"\n0 0 1.0\n   \n\n1 1 2.5\n\n",
+            b"0 0 1.0\n1 1 2.5",
+        ],
+        ids=["crlf", "tabs", "blank-lines", "no-final-newline"],
+    )
+    def test_accepted_layouts(self, data):
+        assert self.parse(data) == ([0, 1], [0, 1], [1.0, 2.5])
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"0 0 1.0\n1 1\n", r"expected 'row col value' lines; .*3 columns but 2"),
+            (b"0 0 1.0 2.0\n", r"expected 'row col value' lines; .*3 columns but 4"),
+            (b"0 0 1.0 # c\n", r"expected 'row col value' lines; .*3 columns but 5"),
+            (b"1.5 0 1.0\n", r"expected 'row col value' lines; .*'1\.5'"),
+            (b"0 0 1.0\n-1 2 1.0\n", r"index \(-1, 2\) outside 8x8"),
+            (b"0 0 1.0\n3 8 1.0\n8 0 1.0\n", r"index \(3, 8\) outside 8x8"),
+            (b"0 0 1.0\n\xff 1 1.0\n", r"expected 'row col value' lines; .*decode byte 0xff"),
+            (b"0 0 1.0\n1 1 1.0\n0 0 2.0\n", r"entry \(0, 0\) more than once"),
+        ],
+        ids=["two-tokens", "four-tokens", "comment", "fractional-index", "negative-index",
+             "index-n", "non-utf8", "repeated-entry"],
+    )
+    def test_refused_inputs(self, data, message):
+        with pytest.raises(FormatError, match=f"^E.coo.*{message}"):
+            _coo_parse(data, self.N)
+
+    @pytest.mark.parametrize("data", [b"", b"\n \t\r\n\n"], ids=["empty", "blank"])
+    def test_empty_mass_is_refused_by_the_factor_without_a_warning(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = _coo_parse(data, self.N)
+        assert entries.nnz == 0
+        with pytest.raises(IndefiniteMatrixError, match="pivot index 0"):
+            MassFactor.of(entries)  # as load_database factors E.coo
 
 
 class TestEdmBasisRoundTrip:

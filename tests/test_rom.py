@@ -13,7 +13,7 @@ from eigendeform.edm import (
     interpolate_mode,
 )
 from eigendeform.modal import align_phases, align_signs, pair_modes, sample_spectrum
-from eigendeform.numerics import MassFactor
+from eigendeform.numerics import MassFactor, generalized_eig, solve_linear
 from eigendeform.rom import (
     Rom,
     benchmark_strategies,
@@ -77,6 +77,15 @@ def assert_lift_matches_formula(rom, x0, times):
     assert np.all(np.isfinite(states))
     deviation = expected - rom.equilibrium[:, None]
     assert np.linalg.norm(states - expected) <= 1e-13 * np.linalg.norm(deviation)
+
+
+def complex_spectral_lift(sys_, mu, x0, times):
+    """x̄ + Re(Φ · diag(c) · e^{λt}) with Φc = x0 − x̄, all in complex arithmetic."""
+    xbar = equilibrium(sys_, mu)
+    lam, phi, _ = generalized_eig(sys_.operator_at(mu), sys_.mass)
+    phi = phi.astype(complex)
+    c = solve_linear(phi, (x0 - xbar).astype(complex))
+    return xbar[:, None] + np.real(phi @ (c[:, None] * np.exp(np.outer(lam, times))))
 
 
 def diag_system(lams):
@@ -263,6 +272,31 @@ class TestSimulateFull:
         stepped = crank_nicolson(rod, mu, x0, times)
         scale = np.max(np.linalg.norm(spectral.states, axis=0))
         assert np.max(np.linalg.norm(spectral.states - stepped.states, axis=0)) <= 1e-5 * scale
+
+    def test_real_spectrum_lifts_in_real_arithmetic(self, rod):
+        mu, x0 = 11.0, equilibrium(rod, 60.0)
+        times = np.linspace(0.0, 2.0, 20001)
+        simulate_full(rod, mu, x0, times[:2])  # warm caches outside the traced call
+        tracemalloc.start()
+        try:
+            states = simulate_full(rod, mu, x0, times).states
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = complex_spectral_lift(rod, mu, x0, times)
+        assert states.dtype == np.float64
+        deviation = expected - equilibrium(rod, mu)[:, None]
+        assert np.linalg.norm(states - expected) <= 1e-13 * np.linalg.norm(deviation)
+        # three real n x nt arrays (modal, product, states); a complex lift needs five
+        assert peak <= 3.5 * rod.n * times.size * 8
+
+    def test_complex_spectrum_lift_unchanged(self):
+        chain = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
+        mu, times = 1.5, np.linspace(0.0, 3.0, 61)
+        x0 = np.random.default_rng(3).standard_normal(chain.n)
+        states = simulate_full(chain, mu, x0, times).states
+        assert states.dtype == np.float64
+        assert np.array_equal(states, complex_spectral_lift(chain, mu, x0, times))
 
     def test_defective_operator_falls_back_with_warning(self):
         jordan = FullOrderSystem(
