@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
 
@@ -138,11 +139,14 @@ def _coo_parse(data: bytes, n: int) -> sp.coo_array:
     try:
         text = data.decode()
         # a blank file has no entries; loadtxt would warn that it found no data
-        entries = (
-            np.loadtxt(text.splitlines(), dtype=_COO_ENTRY, comments=None, ndmin=1)
-            if text.strip()
-            else np.empty(0, dtype=_COO_ENTRY)
-        )
+        entries = np.empty(0, dtype=_COO_ENTRY)
+        if text.strip():
+            # numpy releases that still carry loadtxt's deprecated float fallback
+            # truncate an index such as 1.5 or 2.0 and only warn; raising that
+            # warning refuses the line whatever the caller's warning filters are
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                entries = np.loadtxt(text.splitlines(), dtype=_COO_ENTRY, comments=None, ndmin=1)
     except ValueError as exc:  # UnicodeDecodeError included
         raise FormatError(f"E.coo: expected 'row col value' lines; {exc}") from exc
     rows, cols = entries["row"], entries["col"]

@@ -221,18 +221,29 @@ class TestCooParse:
             (b"0 0 1.0\n1 1\n", r"expected 'row col value' lines; .*3 columns but 2"),
             (b"0 0 1.0 2.0\n", r"expected 'row col value' lines; .*3 columns but 4"),
             (b"0 0 1.0 # c\n", r"expected 'row col value' lines; .*3 columns but 5"),
-            (b"1.5 0 1.0\n", r"expected 'row col value' lines; .*'1\.5'"),
             (b"0 0 1.0\n-1 2 1.0\n", r"index \(-1, 2\) outside 8x8"),
             (b"0 0 1.0\n3 8 1.0\n8 0 1.0\n", r"index \(3, 8\) outside 8x8"),
             (b"0 0 1.0\n\xff 1 1.0\n", r"expected 'row col value' lines; .*decode byte 0xff"),
             (b"0 0 1.0\n1 1 1.0\n0 0 2.0\n", r"entry \(0, 0\) more than once"),
         ],
-        ids=["two-tokens", "four-tokens", "comment", "fractional-index", "negative-index",
-             "index-n", "non-utf8", "repeated-entry"],
+        ids=["two-tokens", "four-tokens", "comment", "negative-index", "index-n", "non-utf8",
+             "repeated-entry"],
     )
     def test_refused_inputs(self, data, message):
         with pytest.raises(FormatError, match=f"^E.coo.*{message}"):
             _coo_parse(data, self.N)
+
+    @pytest.mark.parametrize("token", ["1.5", "0.9", "2.0", "1e0"])
+    @pytest.mark.parametrize("line", ["{} 0 1.0", "0 {} 1.0"], ids=["row", "col"])
+    def test_non_integer_index_refused_with_warnings_ignored(self, line, token):
+        # numpy releases with loadtxt's deprecated float fallback only warn before
+        # truncating such an index; the refusal must not depend on the suite's
+        # warnings-as-errors setting
+        data = f"0 0 1.0\n{line.format(token)}\n".encode()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(FormatError, match=f"^E.coo: expected 'row col value' lines; .*'{token}'"):
+                _coo_parse(data, self.N)
 
     @pytest.mark.parametrize("data", [b"", b"\n \t\r\n\n"], ids=["empty", "blank"])
     def test_empty_mass_is_refused_by_the_factor_without_a_warning(self, data):
