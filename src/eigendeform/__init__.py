@@ -19,7 +19,6 @@ from .modal import (
     align_database,
     align_phases,
     align_signs,
-    mac,
     mode_at,
     pair_modes,
     sample_spectrum,

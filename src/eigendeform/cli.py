@@ -42,13 +42,22 @@ def _out_path(args, default_name: str) -> Path:
     return Path(os.environ.get("EIGENDEFORM_OUT", ".")) / default_name
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Write ``header`` and ``rows`` as csv.writer would, formatting an all-number table directly."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows(rows)
+    if any(str in map(type, row) for row in rows):  # text fields keep csv's quoting rules
+        writer.writerows(rows)
+        data = buf.getvalue().encode()
+    else:
+        # csv.writer's own text of a number is its str(); each row is appended
+        # as bytes at once, so the table is never held as text as well
+        data = bytearray(buf.getvalue().encode())
+        for row in rows:
+            data += (",".join(map(str, row)) + "\r\n").encode()
     path.parent.mkdir(parents=True, exist_ok=True)
-    io_mod._write_atomic(path, buf.getvalue().encode())
+    io_mod._write_atomic(path, data)
 
 
 def _build_system(db: modal.ModeDatabase) -> systems.FullOrderSystem:

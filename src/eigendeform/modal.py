@@ -110,15 +110,6 @@ class ModeDatabase:
         return None if self.left is None else self.left[:, i, :]
 
 
-def mac(a: np.ndarray, b: np.ndarray, mass_factor: MassFactor) -> float:
-    """Squared magnitude of the mass-weighted inner product (F a)ᴴ(F b) of two unit modes.
-
-    For E-normalized inputs this lies in [0, 1] and equals 1 exactly when the
-    modes coincide up to a unit-modulus factor.
-    """
-    return float(abs(np.vdot(mass_factor @ a, mass_factor @ b)) ** 2)
-
-
 def _slowest_at(sys: FullOrderSystem, mu: float, m: int, want_left: bool = False):
     """``slowest_eigenpairs`` of the pencil at mu; a failed solve is re-raised naming mu."""
     A = sys.operator_at(mu)

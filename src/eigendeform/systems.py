@@ -18,6 +18,11 @@ import scipy.sparse as sp
 from .numerics import SingularMatrixError, solve_linear
 
 
+# smallest capacitance |γ| / max(1, |θ vᵀA(μ_ref)⁻¹u|) the affine equilibrium accepts;
+# below it the update would lose more than three digits to cancellation in γ
+CAPACITANCE_TOL = 1e-3
+
+
 class GeneratorError(ValueError):
     """Invalid generator arguments."""
 
@@ -54,6 +59,23 @@ def _identity_over(B, identity_col: int, b_col: int) -> sp.csr_array:
     return sp.csr_array((data, indices, indptr), shape=(2 * n, 2 * n))
 
 
+@dataclass(frozen=True, eq=False)
+class AffineDecomposition:
+    """Rank-one parameter dependence declared by a system.
+
+    States that A(μ) = A(μ_ref) + (μ − μ_ref) u vᵀ and b(μ) = b(μ_ref) +
+    (μ − μ_ref) ``source``.  ``equilibrium`` keeps A(μ_ref)⁻¹ [b(μ_ref), u,
+    source] here after its first call, so later calls cost O(n).
+    """
+
+    mu_ref: float
+    u: np.ndarray
+    v: np.ndarray
+    source: np.ndarray
+    # [(y_b, y_u, y_s, vᵀy_u)] once solved, [None] once A(μ_ref) proved singular
+    _reference: list = field(default_factory=list, init=False, repr=False)
+
+
 @dataclass(frozen=True)
 class FullOrderSystem:
     """First-order system E ẋ = A(μ) x + b(μ) on a closed parameter interval.
@@ -64,6 +86,11 @@ class FullOrderSystem:
     ``.toarray()``); hand-built systems may use dense arrays, which every
     consumer accepts too.  The mass matrix is parameter independent and
     symmetric positive definite.
+
+    ``affine``, when set, declares that A and b depend on μ through one
+    rank-one term (see ``AffineDecomposition``); ``equilibrium`` then solves
+    once at the reference parameter and updates that solution for every μ.
+    The declaration must agree with ``operator_at`` and ``source_at``.
     """
 
     n: int
@@ -72,6 +99,7 @@ class FullOrderSystem:
     source_at: Callable[[float], np.ndarray]
     parameter_domain: tuple[float, float]
     metadata: dict = field(default_factory=dict)
+    affine: AffineDecomposition | None = None
 
 
 @dataclass(frozen=True)
@@ -103,7 +131,10 @@ def heat_rod(
     volume.  The operator is symmetric and, as soon as one end convects
     (h_left + μ > 0), all eigenvalues of (A, E) are strictly negative.  It is
     a tridiagonal CSR array of fixed pattern: each call copies it and writes
-    μ into A[-1, -1], the only entry that depends on the parameter.
+    μ into A[-1, -1], the only entry that depends on the parameter.  The
+    system declares that rank-one dependence as its ``affine``, with the
+    upper end of ``mu_domain`` as reference: the operator there is regular
+    even for an insulated rod (h_left = 0).
     """
     if n < 3:
         raise GeneratorError(f"need at least 3 nodes, got {n}")
@@ -111,6 +142,12 @@ def heat_rod(
         raise GeneratorError("length, conductivity and heat capacity must be positive")
     if h_left < 0:
         raise GeneratorError("film coefficient h_left must be non-negative")
+    try:
+        mu_lo, mu_hi = (float(mu) for mu in mu_domain)
+    except (TypeError, ValueError):
+        raise GeneratorError(f"mu_domain must be two numbers, got {mu_domain!r}") from None
+    if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
+        raise GeneratorError(f"mu_domain must be finite and increasing, got {mu_domain!r}")
 
     dx = length / (n - 1)
     g = conductivity / dx
@@ -150,7 +187,10 @@ def heat_rod(
         },
         "coordinates": np.linspace(0.0, length, n).tolist(),
     }
-    return FullOrderSystem(n, mass, operator_at, source_at, tuple(mu_domain), meta)
+    end = np.zeros(n)
+    end[-1] = 1.0
+    affine = AffineDecomposition(mu_hi, -end, end, t_ambient * end)
+    return FullOrderSystem(n, mass, operator_at, source_at, (mu_lo, mu_hi), meta, affine)
 
 
 def spring_chain_with_defect(
@@ -229,16 +269,26 @@ def first_order_form(sys: SecondOrderSystem) -> FullOrderSystem:
 def equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray:
     """Steady state x̄ with A(μ) x̄ = −b(μ).
 
-    A zero source yields the trivial equilibrium; otherwise the linear system
-    is solved directly, by a sparse LU for a sparse operator.  A singular
-    operator (e.g. a fully insulated rod with internal generation) has no
-    steady state and raises EquilibriumError.
+    A zero source yields the trivial equilibrium.  A system that declares an
+    ``affine`` decomposition is solved once at μ_ref, on the first call, and
+    every μ then costs O(n) by the Sherman–Morrison formula: with θ = μ − μ_ref
+    and y = A(μ_ref)⁻¹(·), z = y_b + θ y_s and x̄ = −(z − θ y_u vᵀz / γ), where
+    γ = 1 + θ vᵀy_u.  The update stands aside, and the system is solved
+    directly at μ, when A(μ_ref) is singular or when |γ| < CAPACITANCE_TOL ·
+    max(1, |θ vᵀy_u|), i.e. near a singular A(μ).  The direct solve is a
+    sparse LU for a sparse operator.  A singular operator (e.g. a fully
+    insulated rod with internal generation) has no steady state and raises
+    EquilibriumError.
     """
     b = np.asarray(sys.source_at(mu), dtype=float)
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise EquilibriumError(f"source vector at mu={mu} is not finite")
     if np.linalg.norm(b) == 0.0:
         return np.zeros(sys.n)
+    if sys.affine is not None:
+        xbar = _affine_equilibrium(sys, mu)
+        if xbar is not None:
+            return xbar
     A = sys.operator_at(mu)
     try:
         return solve_linear(A, -b)
@@ -246,6 +296,29 @@ def equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray:
         raise EquilibriumError(
             f"equilibrium undefined at mu={mu}: operator is singular ({exc})"
         ) from exc
+
+
+def _affine_equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray | None:
+    """x̄(μ) updated from the reference solve of ``sys.affine``; None where the update stands aside."""
+    affine = sys.affine
+    if not affine._reference:
+        rhs = np.column_stack((sys.source_at(affine.mu_ref), affine.u, affine.source))
+        try:
+            y = solve_linear(sys.operator_at(affine.mu_ref), rhs)
+        except SingularMatrixError:
+            affine._reference.append(None)
+        else:
+            y_b, y_u, y_s = (np.ascontiguousarray(col) for col in y.T)
+            affine._reference.append((y_b, y_u, y_s, affine.v @ y_u))
+    if affine._reference[0] is None:
+        return None
+    y_b, y_u, y_s, v_y_u = affine._reference[0]
+    theta = mu - affine.mu_ref
+    gamma = 1.0 + theta * v_y_u
+    if abs(gamma) < CAPACITANCE_TOL * max(1.0, abs(theta * v_y_u)):
+        return None
+    z = y_b + theta * y_s
+    return (theta * (affine.v @ z) / gamma) * y_u - z
 
 
 def traveling_bump_family(n: int, width: float, mu: float) -> np.ndarray:

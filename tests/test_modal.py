@@ -14,14 +14,13 @@ from eigendeform.modal import (
     align_signs,
     bump_database,
     database_from_modes,
-    mac,
     mode_at,
     pair_modes,
     sample_spectrum,
     synthetic_wide_database,
 )
 from eigendeform import numerics
-from eigendeform.numerics import EigensolverError, MassFactor, cholesky_factor, generalized_eig, is_symmetric
+from eigendeform.numerics import EigensolverError, cholesky_factor, generalized_eig, is_symmetric
 from eigendeform.systems import (
     FullOrderSystem,
     SecondOrderSystem,
@@ -194,25 +193,6 @@ class TestSampleSpectrumPaths:
         monkeypatch.setattr(numerics.spla, "eigsh", wrong_modes)
         with pytest.raises(EigensolverError, match="mu=14.0.*inertia"):
             sample_spectrum(heat_rod(40, h_left=1.0), np.array([14.0, 20.0]), 3)
-
-
-class TestMac:
-    def test_identity(self):
-        a = np.array([0.6, 0.8])
-        assert np.isclose(mac(a, a, MassFactor(2)), 1.0)
-
-    def test_orthogonal(self):
-        assert mac(np.array([1.0, 0.0]), np.array([0.0, 1.0]), MassFactor(2)) == 0.0
-
-    def test_phase_invariant(self):
-        a = np.array([0.6, 0.8], dtype=complex)
-        b = a * np.exp(1j * np.pi / 3)
-        assert abs(mac(a, b, MassFactor(2)) - 1.0) <= 1e-12
-
-    def test_weighted(self):
-        E = np.diag([2.0, 1.0])
-        a = np.array([1.0, 0.0]) / np.sqrt(2.0)
-        assert np.isclose(mac(a, a, MassFactor.of(E)), 1.0)
 
 
 class TestPairModes:

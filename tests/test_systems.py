@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eigendeform.numerics import generalized_eig
+from eigendeform import systems
+from eigendeform.numerics import SingularMatrixError, generalized_eig, solve_linear
 from eigendeform.systems import (
+    AffineDecomposition,
     EquilibriumError,
     FullOrderSystem,
     GeneratorError,
@@ -93,6 +97,31 @@ class TestHeatRod:
             heat_rod(5, conductivity=-1.0)
         with pytest.raises(GeneratorError):
             heat_rod(5, h_left=-0.1)
+        with pytest.raises(GeneratorError):
+            heat_rod(5, mu_domain=(120.0, 0.0))
+        with pytest.raises(GeneratorError):
+            heat_rod(5, mu_domain=(float("nan"), 1.0))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(3, 30),
+        h_left=st.sampled_from([0.0, 1.0, 2.5]),
+        mu=st.floats(-50.0, 300.0, allow_nan=False),
+    )
+    def test_affine_declaration_reproduces_operator_and_source(self, n, h_left, mu):
+        sys_ = heat_rod(n, length=0.7, h_left=h_left, t_ambient=293.0, heat_source=5.0)
+        aff = sys_.affine
+        assert aff.mu_ref == sys_.parameter_domain[1]
+        theta = mu - aff.mu_ref
+        A_ref = sys_.operator_at(aff.mu_ref).toarray()
+        A = A_ref + theta * np.outer(aff.u, aff.v)
+        b_ref = sys_.source_at(aff.mu_ref)
+        b = b_ref + theta * aff.source
+        # equal up to the rounding of the one sum per entry
+        assert np.allclose(A, sys_.operator_at(mu).toarray(), rtol=0.0,
+                           atol=4 * np.finfo(float).eps * (np.abs(A_ref).max() + abs(theta)))
+        assert np.allclose(b, sys_.source_at(mu), rtol=0.0,
+                           atol=4 * np.finfo(float).eps * (np.abs(b_ref).max() + abs(theta * 293.0)))
 
 
 def spring_constants(K):
@@ -202,6 +231,19 @@ class TestFirstOrderForm:
         assert np.array_equal(fos.source_at(1.0), np.zeros(6))
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Right-hand-side shapes of the solve_linear calls that systems makes."""
+    calls = []
+
+    def counted(A, b, *args, **kwargs):
+        calls.append(np.shape(b))
+        return solve_linear(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(systems, "solve_linear", counted)
+    return calls
+
+
 class TestEquilibrium:
     def test_zero_source_gives_origin(self):
         sys_ = heat_rod(5, h_left=1.0, t_ambient=0.0, heat_source=0.0)
@@ -243,6 +285,61 @@ class TestEquilibrium:
         xbar = equilibrium(sys_, 15.0)
         dense = np.linalg.solve(sys_.operator_at(15.0).toarray(), -sys_.source_at(15.0))
         assert np.allclose(xbar, dense, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("h_left", [1.0, 0.0])
+    @pytest.mark.parametrize("n", [7, 40, 800])
+    def test_affine_update_matches_sparse_lu_over_the_domain(self, n, h_left):
+        sys_ = heat_rod(n, h_left=h_left, t_ambient=293.0, heat_source=5.0)
+        mus = np.concatenate((np.linspace(0.0, 120.0, 241), [1e-3, 0.1, 0.12, 0.13, 0.5]))
+        solved = 0
+        for mu in mus:
+            try:
+                direct = solve_linear(sys_.operator_at(mu), -sys_.source_at(mu))
+            except SingularMatrixError:
+                with pytest.raises(EquilibriumError):
+                    equilibrium(sys_, mu)
+                continue
+            xbar = equilibrium(sys_, mu)
+            assert np.linalg.norm(xbar - direct) <= 1e-12 * np.linalg.norm(direct), mu
+            solved += 1
+        assert solved >= (len(mus) if h_left > 0 else len(mus) - 1)
+
+    def test_one_reference_solve_serves_every_parameter(self, solve_calls):
+        sys_ = heat_rod(200, h_left=1.0, t_ambient=293.0, heat_source=5.0)
+        assert solve_calls == []  # building the system solves nothing
+        for mu in np.linspace(0.0, 120.0, 50):
+            equilibrium(sys_, mu)
+        assert solve_calls == [(200, 3)]
+
+    def test_near_singular_capacitance_falls_back_to_a_direct_solve(self, solve_calls):
+        sys_ = heat_rod(40, h_left=0.0, t_ambient=293.0, heat_source=5.0)
+        equilibrium(sys_, 1e-3)  # capacitance 8.3e-6: below CAPACITANCE_TOL
+        equilibrium(sys_, 60.0)
+        assert solve_calls == [(40, 3), (40,)]
+
+    def test_singular_reference_falls_back_to_a_direct_solve(self):
+        # A(mu) = diag(-1, -mu) with its reference at the singular mu = 0
+        sys_ = FullOrderSystem(
+            2,
+            np.eye(2),
+            lambda mu: np.diag([-1.0, -mu]),
+            lambda mu: np.array([1.0, 2.0 * mu]),
+            (0.0, 1.0),
+            affine=AffineDecomposition(0.0, np.array([0.0, -1.0]), np.array([0.0, 1.0]), np.array([0.0, 2.0])),
+        )
+        assert np.allclose(equilibrium(sys_, 0.5), [1.0, 2.0])
+        assert sys_.affine._reference == [None]
+        with pytest.raises(EquilibriumError):
+            equilibrium(sys_, 0.0)
+
+    def test_undeclared_dense_system_is_solved_directly(self):
+        rng = np.random.default_rng(3)
+        A0 = -6.0 * np.eye(6) + rng.standard_normal((6, 6))
+        b0 = rng.standard_normal(6)
+        sys_ = FullOrderSystem(6, np.eye(6), lambda mu: A0 - mu * np.eye(6), lambda mu: b0 * (1.0 + mu), (0.0, 2.0))
+        for mu in (0.0, 0.7, 2.0):
+            direct = solve_linear(A0 - mu * np.eye(6), -(b0 * (1.0 + mu)))
+            assert np.array_equal(equilibrium(sys_, mu), direct)
 
 
 class TestTravelingBump:
