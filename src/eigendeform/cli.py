@@ -9,8 +9,7 @@ environment variable (default: current directory).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -43,19 +42,19 @@ def _out_path(args, default_name: str) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    """Write ``header`` and ``rows`` as csv.writer would, formatting an all-number table directly."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    if any(str in map(type, row) for row in rows):  # text fields keep csv's quoting rules
-        writer.writerows(rows)
-        data = buf.getvalue().encode()
-    else:
-        # csv.writer's own text of a number is its str(); each row is appended
-        # as bytes at once, so the table is never held as text as well
-        data = bytearray(buf.getvalue().encode())
-        for row in rows:
-            data += (",".join(map(str, row)) + "\r\n").encode()
+    """Write ``header`` and ``rows`` as CSV, each field as its ``str()``.
+
+    The bytes are those of ``csv.writer`` for fields that need no quoting; a
+    field holding a comma, a quote or a line break is refused instead.  Each
+    line is appended as bytes at once, so the table is never held as text too.
+    """
+    data = bytearray()
+    for row in itertools.chain((header,), rows):
+        line = ",".join(map(str, row))
+        if line.count(",") != len(row) - 1 or '"' in line or "\n" in line or "\r" in line:
+            bad = [f for f in map(str, row) if any(c in f for c in ',"\r\n')]
+            raise ValueError(f"CSV fields {bad!r} would need quoting")
+        data += (line + "\r\n").encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     io_mod._write_atomic(path, data)
 

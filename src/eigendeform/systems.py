@@ -64,16 +64,14 @@ class AffineDecomposition:
     """Rank-one parameter dependence declared by a system.
 
     States that A(μ) = A(μ_ref) + (μ − μ_ref) u vᵀ and b(μ) = b(μ_ref) +
-    (μ − μ_ref) ``source``.  ``equilibrium`` keeps A(μ_ref)⁻¹ [b(μ_ref), u,
-    source] here after its first call, so later calls cost O(n).
+    (μ − μ_ref) ``source``.  A plain declaration: it holds no solve, so one
+    declaration may serve several systems.
     """
 
     mu_ref: float
     u: np.ndarray
     v: np.ndarray
     source: np.ndarray
-    # [(y_b, y_u, y_s, vᵀy_u)] once solved, [None] once A(μ_ref) proved singular
-    _reference: list = field(default_factory=list, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,10 @@ class FullOrderSystem:
 
     ``affine``, when set, declares that A and b depend on μ through one
     rank-one term (see ``AffineDecomposition``); ``equilibrium`` then solves
-    once at the reference parameter and updates that solution for every μ.
-    The declaration must agree with ``operator_at`` and ``source_at``.
+    once at the reference parameter, keeps that solve on the system, and
+    updates it for every μ.  The declaration must agree with ``operator_at``
+    and ``source_at``.  ``dataclasses.replace`` gives a system with no kept
+    solve.
     """
 
     n: int
@@ -100,6 +100,9 @@ class FullOrderSystem:
     parameter_domain: tuple[float, float]
     metadata: dict = field(default_factory=dict)
     affine: AffineDecomposition | None = None
+    # A(μ_ref)⁻¹ [b(μ_ref), u, source] as [(y_b, y_u, y_s, vᵀy_u)] once solved,
+    # [None] once A(μ_ref) proved singular
+    _affine_reference: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -300,19 +303,19 @@ def equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray:
 
 def _affine_equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray | None:
     """x̄(μ) updated from the reference solve of ``sys.affine``; None where the update stands aside."""
-    affine = sys.affine
-    if not affine._reference:
+    affine, reference = sys.affine, sys._affine_reference
+    if not reference:
         rhs = np.column_stack((sys.source_at(affine.mu_ref), affine.u, affine.source))
         try:
             y = solve_linear(sys.operator_at(affine.mu_ref), rhs)
         except SingularMatrixError:
-            affine._reference.append(None)
+            reference.append(None)
         else:
             y_b, y_u, y_s = (np.ascontiguousarray(col) for col in y.T)
-            affine._reference.append((y_b, y_u, y_s, affine.v @ y_u))
-    if affine._reference[0] is None:
+            reference.append((y_b, y_u, y_s, affine.v @ y_u))
+    if reference[0] is None:
         return None
-    y_b, y_u, y_s, v_y_u = affine._reference[0]
+    y_b, y_u, y_s, v_y_u = reference[0]
     theta = mu - affine.mu_ref
     gamma = 1.0 + theta * v_y_u
     if abs(gamma) < CAPACITANCE_TOL * max(1.0, abs(theta * v_y_u)):

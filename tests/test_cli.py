@@ -322,7 +322,13 @@ class TestEnvDefaultOut(object):
 
 
 class TestWriteCsv:
-    ROWS = [(0.5, 1, -2.25, 0.0), (1.0, 2, 1e-300, -3.5)]
+    ROWS = [
+        (0.5, 1, -2.25, 0.0),
+        (1.0, 2, 1e-300, -3.5),
+        (float("nan"), float("inf"), -float("inf"), -0.0),
+        (5e-324, 1.7976931348623157e308, np.float64(0.1), np.float64(-2.5e-17)),
+        (3.25, "", "edm", np.int64(7)),
+    ]
     HEADER = ["mu (parameter)", "mode (1-based)", "re_lambda (1/time)", "im_lambda (1/time)"]
 
     def test_bytes_match_a_plain_csv_writer(self, tmp_path):
@@ -333,6 +339,12 @@ class TestWriteCsv:
             writer.writerows(self.ROWS)
         _write_csv(tmp_path / "out" / "table.csv", self.HEADER, self.ROWS)
         assert (tmp_path / "out" / "table.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("field", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+    def test_field_that_needs_quoting_is_refused(self, tmp_path, field):
+        with pytest.raises(ValueError, match="would need quoting"):
+            _write_csv(tmp_path / "table.csv", self.HEADER, [*self.ROWS, (1.0, field, 2.0, 3.0)])
+        assert not (tmp_path / "table.csv").exists()
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         target = tmp_path / "table.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -317,6 +319,23 @@ class TestEquilibrium:
         equilibrium(sys_, 60.0)
         assert solve_calls == [(40, 3), (40,)]
 
+    def test_systems_sharing_a_declaration_keep_their_own_solve(self, solve_calls):
+        # (mu_ref, u, v, source) holds for any h_left, but the operators differ
+        rod = heat_rod(40, h_left=1.0, t_ambient=293.0, heat_source=5.0)
+        other = replace(heat_rod(40, h_left=2.0, t_ambient=293.0, heat_source=5.0), affine=rod.affine)
+
+        def check(sys_):
+            for mu in (0.0, 7.5, 120.0):
+                direct = solve_linear(sys_.operator_at(mu), -sys_.source_at(mu))
+                xbar = equilibrium(sys_, mu)
+                assert np.linalg.norm(xbar - direct) <= 1e-12 * np.linalg.norm(direct), mu
+
+        check(rod)
+        check(other)
+        # a replacement made after the rod's solve is kept does its own
+        check(replace(rod, operator_at=other.operator_at, source_at=other.source_at))
+        assert solve_calls == [(40, 3)] * 3
+
     def test_singular_reference_falls_back_to_a_direct_solve(self):
         # A(mu) = diag(-1, -mu) with its reference at the singular mu = 0
         sys_ = FullOrderSystem(
@@ -328,7 +347,7 @@ class TestEquilibrium:
             affine=AffineDecomposition(0.0, np.array([0.0, -1.0]), np.array([0.0, 1.0]), np.array([0.0, 2.0])),
         )
         assert np.allclose(equilibrium(sys_, 0.5), [1.0, 2.0])
-        assert sys_.affine._reference == [None]
+        assert sys_._affine_reference == [None]
         with pytest.raises(EquilibriumError):
             equilibrium(sys_, 0.0)
 
