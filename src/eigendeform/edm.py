@@ -82,8 +82,9 @@ class EdmBasis:
     """Low-order representation of one eigenmode's deformation with the parameter.
 
     ``edms`` holds r E-orthonormal deformation directions; ``coefficients`` is
-    the (r, p) block of per-sample coordinates; ``singular_values`` keeps the
-    full spectrum of the weighted data matrix so energy fractions at any rank
+    the (r, p) block of coordinates at the p >= 2 parameters ``sample_mus``,
+    checked when the basis is made; ``singular_values`` keeps the full
+    spectrum of the weighted data matrix so energy fractions at any rank
     remain computable after truncation.
     """
 
@@ -92,7 +93,18 @@ class EdmBasis:
     edms: np.ndarray  # (n, r)
     singular_values: np.ndarray  # (min(n, p),)
     coefficients: np.ndarray  # (r, p)
-    sample_mus: np.ndarray | None = None  # (p,)
+    sample_mus: np.ndarray  # (p,)
+
+    def __post_init__(self):
+        mus = self.sample_mus
+        if mus is None:
+            raise ValueError("basis carries no sample parameters to interpolate against")
+        mus = np.asarray(mus, dtype=float)
+        if mus.size < 2:
+            raise ValueError("need at least 2 samples to interpolate")
+        if mus.shape != self.coefficients.shape[1:]:
+            raise ValueError(f"{mus.size} sample parameters do not fit coefficients {self.coefficients.shape}")
+        object.__setattr__(self, "sample_mus", mus)
 
     @property
     def rank(self) -> int:
@@ -128,10 +140,11 @@ def compute_edms(
     mass_factor: MassFactor,
     rank: int | None = None,
     energy: float | None = None,
-    mode_index: int = 0,
-    sample_mus=None,
+    *,
+    mode_index: int,
+    sample_mus,
 ) -> EdmBasis:
-    """Extract deformation modes from a deviation data matrix.
+    """Extract the deformation basis of chain ``mode_index`` from its deviations at ``sample_mus``.
 
     The data is weighted by the mass factor F, factorized by SVD, and the
     retained left singular vectors are mapped back by ``F.solve`` (a scaling
@@ -158,7 +171,7 @@ def compute_edms(
         edms=mass_factor.solve(u_full[:, :rank]),
         singular_values=s,
         coefficients=coefficients,
-        sample_mus=None if sample_mus is None else np.asarray(sample_mus, dtype=float),
+        sample_mus=sample_mus,
     )
 
 
@@ -169,7 +182,7 @@ def check_basis(basis: EdmBasis, db: ModeDatabase, i: int, name="EDM basis", mod
     if basis.mean_mode.shape[0] != db.n:
         raise ValueError(f"{name} has {basis.mean_mode.shape[0]} rows, {database} has n={db.n}")
     # bitwise, as the interpolation weights are cached per grid
-    if basis.sample_mus is not None and basis.sample_mus.tobytes() != db.mus.tobytes():
+    if basis.sample_mus.tobytes() != db.mus.tobytes():
         raise ValueError(f"{name} was built on other sample parameters than {database}")
 
 
@@ -230,10 +243,6 @@ def interpolate_mode(basis: EdmBasis, mu: float, scheme: str = "linear") -> np.n
     mean + EDMs · coefficients, an affine map of an r-dimensional interpolation
     instead of an n-dimensional one.
     """
-    if basis.sample_mus is None:
-        raise ValueError("basis carries no sample parameters to interpolate against")
-    if basis.sample_mus.size < 2:
-        raise ValueError("need at least 2 samples to interpolate")
     coeff = interpolate_columns(basis.sample_mus, basis.coefficients, mu, scheme)
     return basis.mean_mode + basis.edms @ coeff
 

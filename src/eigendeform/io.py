@@ -294,17 +294,17 @@ def save_edm_basis(basis: EdmBasis, path) -> Path:
             "kind": "edm-basis",
             "mode_index": basis.mode_index,
             "n": int(basis.mean_mode.shape[0]),
-            "p": None if basis.sample_mus is None else int(basis.sample_mus.size),
+            "p": int(basis.sample_mus.size),
             "rank": basis.rank,
             "energy_captured": captured,
-            "sample_mus": None if basis.sample_mus is None else basis.sample_mus.tolist(),
+            "sample_mus": basis.sample_mus.tolist(),
             "arrays": arrays,
         })
     return path
 
 
 def load_edm_basis(path) -> EdmBasis:
-    """Read a deformation-basis directory written by save_edm_basis."""
+    """Read a deformation-basis directory written by save_edm_basis; refuse a grid that does not fit."""
     path = Path(path)
     manifest = _read_manifest(path, "edm-basis")
     arrays = manifest["arrays"]
@@ -316,12 +316,9 @@ def load_edm_basis(path) -> EdmBasis:
     edms = read("edms.bin")
     if edms.shape[0] != mean.shape[0]:
         raise FormatError("edms.bin row count does not match mean_mode.bin")
-    sample_mus = manifest.get("sample_mus")
-    return EdmBasis(
-        mode_index=manifest["mode_index"],
-        mean_mode=mean,
-        edms=edms,
-        singular_values=read("singular_values.bin").real,
-        coefficients=read("coefficients.bin"),
-        sample_mus=None if sample_mus is None else np.asarray(sample_mus, dtype=float),
-    )
+    singular_values = read("singular_values.bin").real
+    coefficients = read("coefficients.bin")
+    try:
+        return EdmBasis(manifest["mode_index"], mean, edms, singular_values, coefficients, manifest.get("sample_mus"))
+    except ValueError as exc:  # the grid check only: the reads above keep their own error types
+        raise FormatError(f"edm-basis manifest: {exc}") from exc

@@ -23,6 +23,10 @@ PARTIAL_FRACTION = 4
 RESIDUAL_TOL = 1e-10
 # bound on max |ΦᵀEΦ − I| of the partial eigenvectors
 ORTHONORMALITY_TOL = 1e-10
+# bound on ‖A − Aᵀ‖_F / ‖A‖_F for a matrix taken as symmetric
+SYMMETRY_RTOL = 1e-12
+# smallest reciprocal 1-norm condition estimate solve_linear accepts
+RCOND_FLOOR = 1e-14
 
 
 class LinearAlgebraError(ValueError):
@@ -80,8 +84,8 @@ def _sparse_norms(a) -> tuple[float, float]:
     return float(np.linalg.norm(a.data)), float(np.linalg.norm(np.add.reduceat(values, starts)))
 
 
-def is_symmetric(a, rtol: float = 1e-12) -> bool:
-    """True when ``a`` (dense or sparse) is real, finite and equals its transpose within ``rtol`` relative."""
+def is_symmetric(a) -> bool:
+    """True when ``a`` (dense or sparse) is real, finite and equals its transpose within SYMMETRY_RTOL relative."""
     if np.iscomplexobj(a):
         return False
     if sp.issparse(a):
@@ -94,22 +98,22 @@ def is_symmetric(a, rtol: float = 1e-12) -> bool:
     else:
         scale = np.linalg.norm(a)
         asymmetry = np.linalg.norm(a - a.T) if scale else 0.0
-    return scale == 0.0 or asymmetry <= rtol * scale
+    return scale == 0.0 or asymmetry <= SYMMETRY_RTOL * scale
 
 
-def cholesky_factor(E, rtol: float = 1e-12) -> np.ndarray:
+def cholesky_factor(E) -> np.ndarray:
     """Upper-triangular factor F of a symmetric positive definite E, FᵀF = E.
 
     Raises
     ------
     SymmetryError
-        If E deviates from symmetry by more than ``rtol`` relative.
+        If E deviates from symmetry by more than SYMMETRY_RTOL relative.
     IndefiniteMatrixError
         If a pivot of the factorization is not positive; the zero-based index
         of the failing pivot is reported.
     """
     E = _as_square(E, "E")
-    if not is_symmetric(E, rtol):
+    if not is_symmetric(E):
         raise SymmetryError("matrix is not symmetric within tolerance")
     potrf, = get_lapack_funcs(("potrf",), (E,))
     factor, info = potrf(E, lower=0, overwrite_a=0)
@@ -397,38 +401,21 @@ def truncated_svd(M, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U[:, :r], s, Vh[:r, :]
 
 
-def _inverse_norm1(lu: spla.SuperLU, n: int, dtype) -> float:
-    """Lower estimate of ‖A⁻¹‖₁ from solves with A's LU factors (Hager's method, as LAPACK's xLACON)."""
-    x = np.full(n, 1.0 / n, dtype=dtype)
-    est = 0.0
-    for _ in range(5):
-        y = lu.solve(x)
-        if np.abs(y).sum() <= est:
-            break
-        est = float(np.abs(y).sum())
-        signs = np.ones_like(y)
-        nonzero = y != 0
-        signs[nonzero] = y[nonzero] / np.abs(y[nonzero])
-        z = lu.solve(signs, trans="H")
-        j = int(np.argmax(np.abs(z)))
-        if np.abs(z[j]) <= np.real(np.vdot(z, x)):
-            break
-        x = np.zeros(n, dtype=dtype)
-        x[j] = 1.0
-    # xLACON's alternating test vector catches matrices the iteration underrates
-    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))
-    return max(est, 2.0 * float(np.abs(lu.solve(alt.astype(dtype))).sum()) / (3.0 * n))
-
-
-def _solve_sparse(A, b: np.ndarray, dtype, rcond_floor: float) -> np.ndarray:
+def _solve_sparse(A, b: np.ndarray, dtype) -> np.ndarray:
     A = sp.csc_array(A, dtype=dtype)
     try:
         lu = spla.splu(A)
     except RuntimeError:  # SuperLU met an exactly zero pivot
         rcond = 0.0
     else:
-        rcond = 1.0 / (_norm1(A) * _inverse_norm1(lu, A.shape[0], dtype))
-    if rcond < rcond_floor:
+        n = A.shape[0]
+        inverse = spla.LinearOperator(A.shape, matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="H"), dtype=dtype)
+        # t = 1 starts from the constant vector alone, so the estimate is deterministic;
+        # xLACON's alternating test vector catches matrices the iteration underrates
+        alt = ((-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))).astype(dtype)
+        norm = max(spla.onenormest(inverse, t=1), 2.0 * float(np.abs(lu.solve(alt)).sum()) / (3.0 * n))
+        rcond = 1.0 / (_norm1(A) * norm)
+    if rcond < RCOND_FLOOR:
         raise SingularMatrixError(
             f"matrix is singular to working precision (rcond ≈ {rcond:.2e})",
             rcond=rcond,
@@ -436,12 +423,12 @@ def _solve_sparse(A, b: np.ndarray, dtype, rcond_floor: float) -> np.ndarray:
     return lu.solve(b.astype(dtype, copy=False))
 
 
-def solve_linear(A, b, rcond_floor: float = 1e-14) -> np.ndarray:
+def solve_linear(A, b) -> np.ndarray:
     """Solve Ax = b by LU with partial pivoting; a scipy.sparse A gets a sparse LU.
 
     Raises SingularMatrixError when the reciprocal condition estimate falls
-    below ``rcond_floor``: LAPACK's for a dense A, Hager's 1-norm estimate
-    from the sparse factors otherwise.
+    below RCOND_FLOOR: LAPACK's for a dense A, else 1 / (‖A‖₁ ‖A⁻¹‖₁) with
+    scipy's onenormest estimating ‖A⁻¹‖₁ from solves with the sparse factors.
     """
     A = _as_square(A, "A", sparse=True)
     b = np.asarray(b)
@@ -451,7 +438,7 @@ def solve_linear(A, b, rcond_floor: float = 1e-14) -> np.ndarray:
         )
     dtype = np.result_type(A.dtype, b.dtype, np.float64)
     if sp.issparse(A):
-        return _solve_sparse(A, b, dtype, rcond_floor)
+        return _solve_sparse(A, b, dtype)
     A = A.astype(dtype, copy=False)
     getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (A,))
     lu, piv, info = getrf(A, overwrite_a=0)
@@ -459,7 +446,7 @@ def solve_linear(A, b, rcond_floor: float = 1e-14) -> np.ndarray:
         raise LinearAlgebraError(f"illegal value in argument {-info} of getrf")
     anorm = np.linalg.norm(A, 1)
     rcond = 0.0 if info > 0 else float(gecon(lu, anorm, norm="1")[0])
-    if rcond < rcond_floor:
+    if rcond < RCOND_FLOOR:
         raise SingularMatrixError(
             f"matrix is singular to working precision (rcond ≈ {rcond:.2e})",
             rcond=rcond,

@@ -21,6 +21,11 @@ from .modal import ModeDatabase
 from .numerics import MassFactor, SingularMatrixError, as_dense, generalized_eig, solve_linear
 from .systems import FullOrderSystem, equilibrium
 
+# largest state dimension simulate_full solves by a dense eigendecomposition
+MAX_DENSE = 2000
+# characteristic times 1 / |Re λ| of the slowest mode that default_horizon spans
+HORIZON_TIMES = 5.0
+
 
 @dataclass(frozen=True)
 class Rom:
@@ -133,9 +138,6 @@ def build_rom_interpolated(
         for family, bases in (("right", right), ("left", left or ())):
             for i, basis in enumerate(bases):
                 check_basis(basis, db, i, f"{family} EDM basis {i + 1}")
-        # check_basis lets a basis without a sample grid through; the weights need one
-        if any(basis.sample_mus is None for basis in [*right, *(left or ())]):
-            raise ValueError("basis carries no sample parameters to interpolate against")
 
         def column(edm_basis, w):
             return edm_basis.mean_mode + edm_basis.edms @ (edm_basis.coefficients @ w)
@@ -249,14 +251,15 @@ def crank_nicolson(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
     return Trajectory(times, states)
 
 
-def simulate_full(sys: FullOrderSystem, mu: float, x0, times, max_dense: int = 2000) -> Trajectory:
+def simulate_full(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
     """Exact spectral solution of the full-order system about its equilibrium.
 
-    Falls back to trapezoidal integration with a warning when the eigenbasis
-    is defective or too ill-conditioned to invert reliably.
+    Refuses more than MAX_DENSE states.  Falls back to trapezoidal integration
+    with a warning when the eigenbasis is defective or too ill-conditioned to
+    invert reliably.
     """
-    if sys.n > max_dense:
-        raise ValueError(f"state dimension {sys.n} exceeds the dense limit {max_dense}")
+    if sys.n > MAX_DENSE:
+        raise ValueError(f"state dimension {sys.n} exceeds the dense limit {MAX_DENSE}")
     times = _check_times(times)
     x0 = np.asarray(x0, dtype=float)
     xbar = equilibrium(sys, mu)
@@ -322,12 +325,12 @@ def trajectory_error(reference: Trajectory, test: Trajectory, mass_factor: MassF
     return instantaneous, integrated
 
 
-def default_horizon(db: ModeDatabase, factor: float = 5.0) -> float:
-    """Horizon of ``factor`` characteristic times of the slowest mode at the first sample."""
+def default_horizon(db: ModeDatabase) -> float:
+    """Horizon of HORIZON_TIMES characteristic times of the slowest mode at the first sample."""
     rate = abs(db.eigenvalues[0, 0].real)
     if rate == 0.0:
         raise ValueError("slowest eigenvalue has zero real part; specify a horizon")
-    return factor / rate
+    return HORIZON_TIMES / rate
 
 
 def benchmark_strategies(

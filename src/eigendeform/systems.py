@@ -10,6 +10,7 @@ point.  Operators and mass matrices are ``scipy.sparse`` CSR arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -100,9 +101,19 @@ class FullOrderSystem:
     parameter_domain: tuple[float, float]
     metadata: dict = field(default_factory=dict)
     affine: AffineDecomposition | None = None
-    # A(μ_ref)⁻¹ [b(μ_ref), u, source] as [(y_b, y_u, y_s, vᵀy_u)] once solved,
-    # [None] once A(μ_ref) proved singular
-    _affine_reference: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _affine_reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+        """A(μ_ref)⁻¹ [b(μ_ref), u, source] as (y_b, y_u, y_s, vᵀy_u), None when A(μ_ref) is singular."""
+        # solved on first use and kept in the instance __dict__, which frozen=True leaves writable
+        affine = self.affine
+        rhs = np.column_stack((self.source_at(affine.mu_ref), affine.u, affine.source))
+        try:
+            y = solve_linear(self.operator_at(affine.mu_ref), rhs)
+        except SingularMatrixError:
+            return None
+        y_b, y_u, y_s = (np.ascontiguousarray(col) for col in y.T)
+        return y_b, y_u, y_s, affine.v @ y_u
 
 
 @dataclass(frozen=True)
@@ -286,7 +297,7 @@ def equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray:
     b = np.asarray(sys.source_at(mu), dtype=float)
     if not np.isfinite(b).all():
         raise EquilibriumError(f"source vector at mu={mu} is not finite")
-    if np.linalg.norm(b) == 0.0:
+    if not b.any():
         return np.zeros(sys.n)
     if sys.affine is not None:
         xbar = _affine_equilibrium(sys, mu)
@@ -303,19 +314,11 @@ def equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray:
 
 def _affine_equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray | None:
     """x̄(μ) updated from the reference solve of ``sys.affine``; None where the update stands aside."""
-    affine, reference = sys.affine, sys._affine_reference
-    if not reference:
-        rhs = np.column_stack((sys.source_at(affine.mu_ref), affine.u, affine.source))
-        try:
-            y = solve_linear(sys.operator_at(affine.mu_ref), rhs)
-        except SingularMatrixError:
-            reference.append(None)
-        else:
-            y_b, y_u, y_s = (np.ascontiguousarray(col) for col in y.T)
-            reference.append((y_b, y_u, y_s, affine.v @ y_u))
-    if reference[0] is None:
+    reference = sys._affine_reference
+    if reference is None:
         return None
-    y_b, y_u, y_s, v_y_u = reference[0]
+    y_b, y_u, y_s, v_y_u = reference
+    affine = sys.affine
     theta = mu - affine.mu_ref
     gamma = 1.0 + theta * v_y_u
     if abs(gamma) < CAPACITANCE_TOL * max(1.0, abs(theta * v_y_u)):

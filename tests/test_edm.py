@@ -72,7 +72,7 @@ class TestBuildDataMatrix:
 class TestComputeEdms:
     def test_identity_factor_diagonal_data(self):
         data = np.diag([3.0, 1.0])
-        basis = compute_edms(np.zeros(2), data, MassFactor(2), rank=2)
+        basis = compute_edms(np.zeros(2), data, MassFactor(2), rank=2, mode_index=0, sample_mus=[0.0, 1.0])
         assert np.allclose(basis.singular_values, [3.0, 1.0])
         assert np.allclose(np.abs(basis.edms), np.eye(2))
 
@@ -81,7 +81,7 @@ class TestComputeEdms:
         data = rng.standard_normal((6, 4))
         E = np.diag(rng.uniform(0.5, 2.0, 6))
         F = MassFactor.of(E)
-        basis = compute_edms(np.zeros(6), data, F, rank=4)
+        basis = compute_edms(np.zeros(6), data, F, rank=4, mode_index=0, sample_mus=np.arange(4.0))
         recon = basis.edms @ basis.coefficients
         assert np.linalg.norm(data - recon) <= 1e-10
 
@@ -89,7 +89,7 @@ class TestComputeEdms:
         mean, data = build_data_matrix(rod_db, 0)
         F = rod_db.mass_factor
         E = rod_db.mass_factor.mass().toarray()
-        basis = compute_edms(mean, data, F, rank=2)
+        basis = compute_edms(mean, data, F, rank=2, mode_index=0, sample_mus=rod_db.mus)
         gram = basis.edms.T @ E @ basis.edms
         assert np.linalg.norm(gram - np.eye(2)) <= 1e-8
         resid = np.linalg.norm(F @ (data - basis.edms @ basis.coefficients))

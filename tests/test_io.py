@@ -286,6 +286,27 @@ class TestEdmBasisRoundTrip:
         with pytest.raises(FormatError, match="edm-basis"):
             load_edm_basis(tmp_path / "db")
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [(None, "no sample parameters"), ([0.0, 10.0, 20.0], "do not fit"), ([1.0], "at least 2")],
+    )
+    def test_manifest_grid_that_does_not_fit_refused(self, rod_db, tmp_path, grid, message):
+        path = save_edm_basis(extract_edm_basis(rod_db, 0, rank=2), tmp_path / "edm")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["sample_mus"] = grid
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=message):
+            load_edm_basis(path)
+
+    def test_bad_checksum_keeps_its_type(self, rod_db, tmp_path):
+        path = save_edm_basis(extract_edm_basis(rod_db, 0, rank=2), tmp_path / "edm")
+        victim = path / "coefficients.bin"
+        raw = bytearray(victim.read_bytes())
+        raw[3] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError, match="coefficients.bin"):
+            load_edm_basis(path)
+
 
 class TestAtomicWrite:
     def test_concurrent_writers_leave_one_whole_payload(self, tmp_path):

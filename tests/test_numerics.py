@@ -237,6 +237,20 @@ class TestSolveLinear:
             solve_linear(A, np.ones(3))
         assert 0.0 < err.value.rcond < 1e-14
 
+    def test_complex_sparse_near_singular_reports_rcond(self):
+        A = sp.csr_array(np.array([[1.0, 2j, 0.0], [-2j, 4.0 + 1e-15, 0.0], [0.0, 0.0, 3.0]]))
+        with pytest.raises(SingularMatrixError) as err:
+            solve_linear(A, np.ones(3))
+        assert 0.0 < err.value.rcond < 1e-14
+
+    def test_complex_sparse_matches_dense(self):
+        rng = np.random.default_rng(13)
+        dense = (rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))) * (rng.random((60, 60)) < 0.1)
+        dense += 4.0 * np.eye(60)
+        b = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        x = solve_linear(sp.csr_array(dense), b)
+        assert np.allclose(x, solve_linear(dense, b), rtol=1e-12, atol=0.0)
+
 
 def use_no_dense_solver(monkeypatch):
     def forbidden(*args, **kwargs):

@@ -251,6 +251,13 @@ class TestEquilibrium:
         sys_ = heat_rod(5, h_left=1.0, t_ambient=0.0, heat_source=0.0)
         assert np.array_equal(equilibrium(sys_, 2.0), np.zeros(5))
 
+    def test_tiny_source_is_not_taken_for_zero(self):
+        # the source [1e-170, 0, 0, 0, 2e-170] has a 2-norm that underflows to 0
+        sys_ = heat_rod(5, t_ambient=1e-170)
+        dense = np.linalg.solve(sys_.operator_at(2.0).toarray(), -sys_.source_at(2.0))
+        assert np.allclose(equilibrium(sys_, 2.0), dense, rtol=1e-12, atol=0.0)
+        assert np.all(dense > 0.0)
+
     def test_single_cell_isothermal_balance(self):
         h, t_inf = 2.0, 293.0
         cell = FullOrderSystem(
@@ -347,7 +354,7 @@ class TestEquilibrium:
             affine=AffineDecomposition(0.0, np.array([0.0, -1.0]), np.array([0.0, 1.0]), np.array([0.0, 2.0])),
         )
         assert np.allclose(equilibrium(sys_, 0.5), [1.0, 2.0])
-        assert sys_._affine_reference == [None]
+        assert sys_._affine_reference is None
         with pytest.raises(EquilibriumError):
             equilibrium(sys_, 0.0)
 
