@@ -17,8 +17,6 @@ from .modal import (
     ModeDatabase,
     ModeSample,
     align_database,
-    align_phases,
-    align_signs,
     mode_at,
     pair_modes,
     sample_spectrum,

@@ -82,10 +82,10 @@ class EdmBasis:
     """Low-order representation of one eigenmode's deformation with the parameter.
 
     ``edms`` holds r E-orthonormal deformation directions; ``coefficients`` is
-    the (r, p) block of coordinates at the p >= 2 parameters ``sample_mus``,
-    checked when the basis is made; ``singular_values`` keeps the full
-    spectrum of the weighted data matrix so energy fractions at any rank
-    remain computable after truncation.
+    the (r, p) block of coordinates at the p >= 2 strictly increasing
+    parameters ``sample_mus``, checked when the basis is made;
+    ``singular_values`` keeps the full spectrum of the weighted data matrix
+    so energy fractions at any rank remain computable after truncation.
     """
 
     mode_index: int
@@ -102,6 +102,8 @@ class EdmBasis:
         mus = np.asarray(mus, dtype=float)
         if mus.size < 2:
             raise ValueError("need at least 2 samples to interpolate")
+        if not np.all(np.diff(mus) > 0):
+            raise ValueError("sample parameters must be strictly increasing")
         if mus.shape != self.coefficients.shape[1:]:
             raise ValueError(f"{mus.size} sample parameters do not fit coefficients {self.coefficients.shape}")
         object.__setattr__(self, "sample_mus", mus)

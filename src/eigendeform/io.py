@@ -304,7 +304,7 @@ def save_edm_basis(basis: EdmBasis, path) -> Path:
 
 
 def load_edm_basis(path) -> EdmBasis:
-    """Read a deformation-basis directory written by save_edm_basis; refuse a grid that does not fit."""
+    """Read a basis directory written by save_edm_basis; refuse a manifest that does not fit its arrays."""
     path = Path(path)
     manifest = _read_manifest(path, "edm-basis")
     arrays = manifest["arrays"]
@@ -319,6 +319,10 @@ def load_edm_basis(path) -> EdmBasis:
     singular_values = read("singular_values.bin").real
     coefficients = read("coefficients.bin")
     try:
-        return EdmBasis(manifest["mode_index"], mean, edms, singular_values, coefficients, manifest.get("sample_mus"))
+        basis = EdmBasis(manifest["mode_index"], mean, edms, singular_values, coefficients, manifest.get("sample_mus"))
     except ValueError as exc:  # the grid check only: the reads above keep their own error types
         raise FormatError(f"edm-basis manifest: {exc}") from exc
+    for key, value in (("n", mean.shape[0]), ("p", basis.sample_mus.size), ("rank", basis.rank)):
+        if manifest.get(key) != value:
+            raise FormatError(f"edm-basis manifest: {key} = {manifest.get(key)!r}, but the arrays give {value}")
+    return basis

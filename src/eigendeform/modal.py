@@ -39,7 +39,9 @@ class ModeDatabase:
     contiguous columns.  ``mass_factor`` is the ``MassFactor`` F with FᵀF = E
     (identity, diagonal or dense) of size n; every inner product between modes
     is (F a)ᴴ(F b).  ``paired`` and ``aligned`` record which preparation passes
-    have run; the passes return new arrays.
+    have run; the passes return new arrays.  In an aligned database each
+    chain's first mode has its largest-magnitude component real and positive,
+    and each chain's consecutive mass-weighted overlaps are real and positive.
     """
 
     mus: np.ndarray  # (p,)
@@ -245,75 +247,47 @@ def pair_modes(db: ModeDatabase) -> ModeDatabase:
     )
 
 
-def align_signs(db: ModeDatabase) -> ModeDatabase:
-    """Make consecutive mass-weighted inner products of each real mode chain positive.
+def _unit(c):
+    """Unit factor u that makes u·c real and positive (±1 for real c); 1 where c = 0."""
+    u = np.conj(np.sign(c))  # numpy >= 2: sign(c) = c/|c| for complex c
+    return np.where(u == 0, 1, u)
 
-    The first sample is put in a deterministic convention (largest-magnitude
-    component positive); each later sample is flipped whenever its inner
-    product with the already-aligned predecessor is negative.  Exactly
-    orthogonal neighbors are left untouched and reported.  Left modes receive
-    the same flips so bi-orthogonal scaling is preserved.  Idempotent.
+
+def align_database(db: ModeDatabase) -> ModeDatabase:
+    """Give each mode chain one consistent sign (real modes) or phase (complex modes).
+
+    A real sign is a unit phase in {−1, +1}, so one pass serves both dtypes.
+    Each chain's first mode is scaled by the unit factor that makes its
+    largest-magnitude component real and positive; each later mode by the
+    unit factor that makes its mass-weighted inner product with the
+    already-aligned predecessor real and positive.  This factor also solves
+    min_θ ‖F(e^{iθ}φ^(k+1) − φ^(k))‖ in closed form.  A mode exactly
+    orthogonal to its predecessor keeps factor 1 and is reported.  Left modes
+    get the same factors, so bi-orthogonal scaling is preserved.  Idempotent.
     """
     if not db.paired:
         raise ValueError("pair the database before aligning")
-    if db.is_complex:
-        raise ValueError("database holds complex modes: use align_phases")
     weighted = db.mass_factor @ db.right
     # inner[i, k]: product of chain i's raw modes at samples k and k + 1
-    inner = np.einsum("nik,nik->ik", weighted[:, :, :-1], weighted[:, :, 1:])
+    inner = np.einsum("nik,nik->ik", weighted[:, :, :-1].conj(), weighted[:, :, 1:])
 
     first = db.right[:, :, 0]
-    signs = np.empty((db.m, db.p))
-    signs[:, 0] = np.where(first[np.argmax(np.abs(first), axis=0), np.arange(db.m)] < 0, -1.0, 1.0)
+    factors = np.empty((db.m, db.p), dtype=db.right.dtype)
+    factors[:, 0] = _unit(first[np.argmax(np.abs(first), axis=0), np.arange(db.m)])
     for k in range(db.p - 1):
-        signs[:, k + 1] = np.where(signs[:, k] * inner[:, k] < 0.0, -1.0, 1.0)
+        factors[:, k + 1] = _unit(factors[:, k].conj() * inner[:, k])
     warnings = list(db.warnings) + [
-        f"orthogonal neighbors for mode chain {i} between samples {k} and {k + 1}; sign kept"
+        f"orthogonal neighbors for mode chain {i} between samples {k} and {k + 1}; raw mode kept"
         for i, k in np.argwhere(inner == 0.0).tolist()
     ]
 
     return replace(
         db,
-        right=np.multiply(db.right, signs, order="F"),
-        left=None if db.left is None else np.multiply(db.left, signs, order="F"),
+        right=np.multiply(db.right, factors, order="F"),
+        left=None if db.left is None else np.multiply(db.left, factors, order="F"),
         aligned=True,
         warnings=tuple(warnings),
     )
-
-
-def align_phases(db: ModeDatabase) -> ModeDatabase:
-    """Rotate each complex mode into phase with its first-sample counterpart.
-
-    The rotation angle minimizing the mass-weighted misfit between e^{iθ}φ^(k)
-    and φ^(1) has the closed form θ = −arg((φ^(1))ᴴ E φ^(k)); after rotation
-    that inner product is real and non-negative.  A zero inner product leaves
-    the phase untouched and is reported.  Left modes are rotated by the same
-    factor.  Idempotent.
-    """
-    if not db.paired:
-        raise ValueError("pair the database before aligning")
-    weighted = db.mass_factor @ db.right
-    # overlap[i, k]: product of chain i's modes at the first sample and at sample k
-    overlap = np.einsum("ni,nik->ik", weighted[:, :, 0].conj(), weighted)
-    rotation = np.exp(-1j * np.angle(overlap))  # angle(0) = 0 keeps the phase
-    rotation[:, 0] = 1.0
-    warnings = list(db.warnings) + [
-        f"mode chain {i} at sample {k + 1} is orthogonal to the first sample; phase kept"
-        for i, k in np.argwhere(overlap[:, 1:] == 0.0).tolist()
-    ]
-
-    return replace(
-        db,
-        right=np.multiply(db.right, rotation, order="F"),
-        left=None if db.left is None else np.multiply(db.left, rotation, order="F"),
-        aligned=True,
-        warnings=tuple(warnings),
-    )
-
-
-def align_database(db: ModeDatabase) -> ModeDatabase:
-    """Dispatch to phase alignment for complex databases, sign alignment otherwise."""
-    return align_phases(db) if db.is_complex else align_signs(db)
 
 
 def mode_at(sys: FullOrderSystem, db: ModeDatabase, i: int, mu: float) -> np.ndarray:
@@ -321,8 +295,9 @@ def mode_at(sys: FullOrderSystem, db: ModeDatabase, i: int, mu: float) -> np.nda
 
     Solves for the 2m slowest tracked modes at μ (``slowest_eigenpairs``, so
     a real symmetric pencil takes the partial path), picks the one with the
-    largest MAC against chain i at the nearest sampled parameter, and applies
-    the same sign (real) or phase (complex) convention the database uses.
+    largest MAC against chain i at the nearest sampled parameter, and scales
+    it by the unit factor that makes its mass-weighted overlap with that
+    sample real and positive, as ``align_database`` does between neighbours.
     The m extra candidates keep the match when a chain leaves the m slowest
     between samples.  Intended as ground truth for interpolation error
     studies.
@@ -337,18 +312,10 @@ def mode_at(sys: FullOrderSystem, db: ModeDatabase, i: int, mu: float) -> np.nda
     nearest = int(np.argmin(np.abs(db.mus - mu)))
     weighted = F @ candidates
     ref = F @ db.right[:, i, nearest]
-    j = int(np.argmax(np.abs(ref.conj() @ weighted)))
-    phi = candidates[:, j]
-
-    if db.is_complex:
-        c = np.vdot(F @ db.right[:, i, 0], weighted[:, j])
-        if c != 0.0:
-            phi = phi.astype(complex) * np.exp(-1j * np.angle(c))
-    else:
-        if np.real(np.vdot(ref, weighted[:, j])) < 0.0:
-            phi = -phi
-        phi = np.real_if_close(phi, tol=1000)
-    return phi
+    overlaps = ref.conj() @ weighted
+    j = int(np.argmax(np.abs(overlaps)))
+    phi = candidates[:, j] * _unit(overlaps[j])
+    return phi if db.is_complex else np.real_if_close(phi, tol=1000)
 
 
 def database_from_modes(
@@ -409,7 +376,7 @@ def bump_database(n: int, width: float, mus) -> ModeDatabase:
         paired=True,
         metadata={"generator": {"name": "traveling-bump", "args": {"n": n, "width": width}}},
     )
-    return align_signs(db)
+    return align_database(db)
 
 
 def synthetic_wide_database(n: int, mus, m: int, seed: int = 0) -> ModeDatabase:
@@ -450,4 +417,4 @@ def synthetic_wide_database(n: int, mus, m: int, seed: int = 0) -> ModeDatabase:
             }
         },
     )
-    return align_signs(db)
+    return align_database(db)

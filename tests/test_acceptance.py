@@ -21,8 +21,7 @@ from eigendeform.edm import (
 )
 from eigendeform.modal import (
     ModeDatabase,
-    align_phases,
-    align_signs,
+    align_database,
     bump_database,
     database_from_modes,
     mode_at,
@@ -58,7 +57,7 @@ def rod():
 
 @pytest.fixture(scope="module")
 def rod_db(rod):
-    return align_signs(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 8), 6)))
+    return align_database(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 8), 6)))
 
 
 def weighted_rank(db, i):
@@ -133,7 +132,7 @@ def test_criterion_3_traveling_wave_hardness(rod_db):
 
 def test_criterion_4_edm_mass_orthonormality(rod_db):
     chain = first_order_form(spring_chain_with_defect(12, k_defect=0.5))
-    chain_db = align_phases(pair_modes(sample_spectrum(chain, np.linspace(0.5, 11.5, 8), 6)))
+    chain_db = align_database(pair_modes(sample_spectrum(chain, np.linspace(0.5, 11.5, 8), 6)))
     bump = bump_database(50, 2.0, np.linspace(0.1, 0.9, 8))
 
     worst = 0.0
@@ -149,7 +148,7 @@ def test_criterion_4_edm_mass_orthonormality(rod_db):
 
 def test_criterion_5_alignment_suite():
     base_sys = heat_rod(20, h_left=1.0)
-    base = align_signs(pair_modes(sample_spectrum(base_sys, np.linspace(0.0, 28.0, 6), 4)))
+    base = align_database(pair_modes(sample_spectrum(base_sys, np.linspace(0.0, 28.0, 6), 4)))
     E = base.mass_factor.mass().toarray()
     F = base.mass_factor
 
@@ -161,12 +160,12 @@ def test_criterion_5_alignment_suite():
         # sign corruption recovery and idempotence
         flips = np.array([rng.choice([-1.0, 1.0], size=base.m) for _ in range(base.p)]).T
         corrupted = ModeDatabase(base.mus, base.eigenvalues, base.right * flips, None, F, paired=True)
-        fixed = align_signs(corrupted)
+        fixed = align_database(corrupted)
         for i in range(base.m):
             for k in range(base.p - 1):
                 a = fixed.samples[k].right_modes[:, i] @ E @ fixed.samples[k + 1].right_modes[:, i]
                 sign_ok &= bool(a > 0)
-        twice = align_signs(fixed)
+        twice = align_database(fixed)
         for s1, s2 in zip(twice.samples, fixed.samples):
             idem_ok &= bool(np.max(np.abs(s1.right_modes - s2.right_modes)) <= 1e-14)
 
@@ -178,7 +177,7 @@ def test_criterion_5_alignment_suite():
             [0.0, 1.0], [phi1[:, None], phik[:, None]],
             mass=E, paired=True, normalize=True,
         )
-        aligned = align_phases(db)
+        aligned = align_database(db)
         v1 = F @ aligned.samples[0].right_modes[:, 0]
         achieved = np.linalg.norm(F @ aligned.samples[1].right_modes[:, 0] - v1)
         w = F @ db.samples[1].right_modes[:, 0]
@@ -186,7 +185,7 @@ def test_criterion_5_alignment_suite():
             w[:, None] * np.exp(1j * thetas)[None, :] - v1[:, None], axis=0
         )
         phase_ok &= bool(achieved <= grid_vals.min() + 1e-6)
-        twice_c = align_phases(aligned)
+        twice_c = align_database(aligned)
         for s1, s2 in zip(twice_c.samples, aligned.samples):
             idem_ok &= bool(np.max(np.abs(s1.right_modes - s2.right_modes)) <= 1e-14)
 
@@ -198,7 +197,7 @@ def test_criterion_5_alignment_suite():
 
 
 def test_criterion_6_rom_exactness_ladder(rod):
-    db = align_signs(pair_modes(sample_spectrum(rod, np.array([0.0, 14.0, 28.0]), rod.n)))
+    db = align_database(pair_modes(sample_spectrum(rod, np.array([0.0, 14.0, 28.0]), rod.n)))
     mu = 14.0
     xbar = equilibrium(rod, mu)
     x0 = equilibrium(rod, 100.0)
@@ -234,7 +233,7 @@ def test_criterion_7_strategy_ordering():
     start = time.perf_counter()
     sys_ = heat_rod(50, h_left=2.0, t_ambient=293.0, heat_source=5.0)
     training = np.linspace(0.0, 6.0, 4)
-    db = align_signs(pair_modes(sample_spectrum(sys_, training, 6)))
+    db = align_database(pair_modes(sample_spectrum(sys_, training, 6)))
     bases = [extract_edm_basis(db, i, rank=2) for i in range(6)]
     grid = np.linspace(0.0, 6.0, 100)
     rows = benchmark_strategies(sys_, db, bases, grid, x0=18.0)
@@ -302,7 +301,7 @@ def test_criterion_9_published_dataset_energies():
             paired=True,
             normalize=True,
         )
-        return align_signs(db) if not db.is_complex else align_phases(db)
+        return align_database(db)
 
     s_batt = extract_edm_basis(ingest(battery), 0, rank=0).singular_values
     batt_ok = (

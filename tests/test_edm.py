@@ -15,7 +15,7 @@ from eigendeform.edm import (
     select_rank,
 )
 from eigendeform.modal import (
-    align_signs,
+    align_database,
     bump_database,
     database_from_modes,
     mode_at,
@@ -33,7 +33,7 @@ def rod():
 
 @pytest.fixture(scope="module")
 def rod_db(rod):
-    return align_signs(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 8), 6)))
+    return align_database(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 8), 6)))
 
 
 def weighted_rank(db, i):
@@ -291,11 +291,10 @@ class TestOptimality:
 
 class TestComplexChain:
     def test_complex_basis_orthonormal_and_reconstructs(self):
-        from eigendeform.modal import align_phases
         from eigendeform.systems import first_order_form, spring_chain_with_defect
 
         fos = first_order_form(spring_chain_with_defect(6, k_defect=0.4))
-        db = align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 5.5, 6), 3)))
+        db = align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 5.5, 6), 3)))
         E = db.mass_factor.mass().toarray()
         for i in range(db.m):
             basis = extract_edm_basis(db, i, energy=0.999)

@@ -22,8 +22,7 @@ from eigendeform.io import (
     save_edm_basis,
 )
 from eigendeform.modal import (
-    align_phases,
-    align_signs,
+    align_database,
     bump_database,
     database_from_modes,
     pair_modes,
@@ -36,13 +35,13 @@ from eigendeform.systems import first_order_form, heat_rod, spring_chain_with_de
 @pytest.fixture(scope="module")
 def rod_db():
     sys_ = heat_rod(12, h_left=1.0, t_ambient=293.0, heat_source=2.0)
-    return align_signs(pair_modes(sample_spectrum(sys_, np.linspace(0.0, 20.0, 5), 4)))
+    return align_database(pair_modes(sample_spectrum(sys_, np.linspace(0.0, 20.0, 5), 4)))
 
 
 @pytest.fixture(scope="module")
 def chain_db():
     fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
-    return align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 4), 3)))
+    return align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 4), 3)))
 
 
 def assert_databases_equal(a, b):
@@ -104,7 +103,7 @@ class TestDatabaseRoundTrip:
         from dataclasses import replace
 
         sys_ = heat_rod(10, h_left=1.0)
-        db = align_signs(pair_modes(sample_spectrum(sys_, np.linspace(0.0, 10.0, 3), 2)))
+        db = align_database(pair_modes(sample_spectrum(sys_, np.linspace(0.0, 10.0, 3), 2)))
         db = replace(db, crossing_gaps=(1,), warnings=("degenerate pairing somewhere",))
         save_database(db, tmp_path / "db")
         loaded = load_database(tmp_path / "db")
@@ -288,7 +287,13 @@ class TestEdmBasisRoundTrip:
 
     @pytest.mark.parametrize(
         "grid, message",
-        [(None, "no sample parameters"), ([0.0, 10.0, 20.0], "do not fit"), ([1.0], "at least 2")],
+        [
+            (None, "no sample parameters"),
+            ([0.0, 10.0, 20.0], "do not fit"),
+            ([1.0], "at least 2"),
+            ([0.0, 5.0, 5.0, 15.0, 20.0], "strictly increasing"),
+            ([0.0, 10.0, 5.0, 15.0, 20.0], "strictly increasing"),
+        ],
     )
     def test_manifest_grid_that_does_not_fit_refused(self, rod_db, tmp_path, grid, message):
         path = save_edm_basis(extract_edm_basis(rod_db, 0, rank=2), tmp_path / "edm")
@@ -296,6 +301,22 @@ class TestEdmBasisRoundTrip:
         manifest["sample_mus"] = grid
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match=message):
+            load_edm_basis(path)
+
+    @pytest.mark.parametrize("key, value", [("n", 7), ("p", 99), ("rank", 5)])
+    def test_manifest_size_that_disagrees_refused(self, chain_db, tmp_path, key, value):
+        path = save_edm_basis(extract_edm_basis(chain_db, 0, rank=2), tmp_path / "edm")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest[key] = value
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"{key} = {value}"):
+            load_edm_basis(path)
+        # a damaged array is still named as such
+        victim = path / "edms.bin"
+        raw = bytearray(victim.read_bytes())
+        raw[3] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError, match="edms.bin"):
             load_edm_basis(path)
 
     def test_bad_checksum_keeps_its_type(self, rod_db, tmp_path):

@@ -10,8 +10,6 @@ from hypothesis.extra.numpy import arrays
 from eigendeform.modal import (
     ModeDatabase,
     align_database,
-    align_phases,
-    align_signs,
     bump_database,
     database_from_modes,
     mode_at,
@@ -27,6 +25,7 @@ from eigendeform.systems import (
     first_order_form,
     heat_rod,
     spring_chain_with_defect,
+    traveling_bump_family,
 )
 
 
@@ -38,7 +37,7 @@ def rod_db():
 
 @pytest.fixture(scope="module")
 def prepared_rod_db(rod_db):
-    return align_signs(pair_modes(rod_db))
+    return align_database(pair_modes(rod_db))
 
 
 @pytest.fixture(scope="module")
@@ -352,28 +351,36 @@ class TestPassProperties:
         db = prepared_rod_db
         corrupted = replace(db, right=db.right * signs, aligned=False)
         before = _snapshot(corrupted)
-        fixed = align_signs(corrupted)
+        fixed = align_database(corrupted)
         assert _unchanged(corrupted, before)
         assert np.array_equal(fixed.right, db.right)
-        again = align_signs(fixed)
+        again = align_database(fixed)
         assert np.array_equal(again.right, fixed.right)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(angles=arrays(float, (4, 9), elements=st.floats(0.0, 2.0 * np.pi)))
     def test_random_phases_are_undone(self, chain_db, angles):
-        db = align_phases(pair_modes(chain_db))
+        db = align_database(pair_modes(chain_db))
         rotation = np.exp(1j * angles)
         corrupted = replace(db, right=db.right * rotation, left=db.left * rotation, aligned=False)
         before = _snapshot(corrupted)
-        fixed = align_phases(corrupted)
+        fixed = align_database(corrupted)
         assert _unchanged(corrupted, before)
-        # the first sample keeps its phase; every later one follows it
-        expected = rotation[:, :1]
-        assert np.max(np.abs(fixed.right - db.right * expected)) <= 1e-12
-        assert np.max(np.abs(fixed.left - db.left * expected)) <= 1e-12
-        again = align_phases(fixed)
+        # every sample's phase is undone, the first one's too
+        assert np.max(np.abs(fixed.right - db.right)) <= 1e-12
+        assert np.max(np.abs(fixed.left - db.left)) <= 1e-12
+        again = align_database(fixed)
         assert np.max(np.abs(again.right - fixed.right)) <= 1e-14
         assert np.max(np.abs(again.left - fixed.left)) <= 1e-14
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(angles=arrays(float, (6, 8), elements=st.floats(0.0, 2.0 * np.pi)))
+    def test_phases_on_a_real_database_are_undone(self, prepared_rod_db, angles):
+        # a real sign is a unit phase: the same pass turns a complex copy back to the real chains
+        db = prepared_rod_db
+        corrupted = replace(db, right=db.right * np.exp(1j * angles), aligned=False)
+        fixed = align_database(corrupted)
+        assert np.max(np.abs(fixed.right - db.right)) <= 1e-12
 
 
 class TestAlignSigns:
@@ -381,16 +388,16 @@ class TestAlignSigns:
         p1 = np.array([[1.0], [0.0]])
         p2 = np.array([[-1.0], [0.0]])
         db = database_from_modes([0.0, 1.0], [p1, p2], paired=True)
-        aligned = align_signs(db)
+        aligned = align_database(db)
         assert np.array_equal(aligned.samples[1].right_modes, p1)
 
     def test_idempotent(self, prepared_rod_db):
-        again = align_signs(prepared_rod_db)
+        again = align_database(prepared_rod_db)
         for a, b in zip(again.samples, prepared_rod_db.samples):
             assert np.array_equal(a.right_modes, b.right_modes)
 
     def test_recovers_from_random_sign_corruption(self, rod_db):
-        base = align_signs(pair_modes(rod_db))
+        base = align_database(pair_modes(rod_db))
         E = base.mass_factor.mass().toarray()
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -398,7 +405,7 @@ class TestAlignSigns:
             db = ModeDatabase(
                 base.mus, base.eigenvalues, base.right * flips, None, base.mass_factor, paired=True
             )
-            fixed = align_signs(db)
+            fixed = align_database(db)
             for i in range(base.m):
                 for k in range(base.p - 1):
                     a = fixed.samples[k].right_modes[:, i] @ E @ fixed.samples[k + 1].right_modes[:, i]
@@ -413,19 +420,13 @@ class TestAlignSigns:
         p1 = np.array([[1.0], [0.0]])
         p2 = np.array([[0.0], [1.0]])
         db = database_from_modes([0.0, 1.0], [p1, p2], paired=True)
-        aligned = align_signs(db)
+        aligned = align_database(db)
         assert any("orthogonal" in w for w in aligned.warnings)
         assert np.array_equal(aligned.samples[1].right_modes, p2)
 
-    def test_rejects_complex(self):
-        block = np.array([[1.0 + 0j], [0.0 + 0j]])
-        db = database_from_modes([0.0, 1.0], [block, block], paired=True)
-        with pytest.raises(ValueError, match="align_phases"):
-            align_signs(db)
-
     def test_requires_paired(self, rod_db):
         with pytest.raises(ValueError):
-            align_signs(rod_db)
+            align_database(rod_db)
 
 
 def phase_objective(F, phi_k, phi_1, theta):
@@ -439,14 +440,17 @@ class TestAlignPhases:
         p1 = np.array([[1.0 + 0j], [0.0]])
         pk = np.array([[1j], [0.0]])
         db = database_from_modes([0.0, 1.0], [p1, pk], paired=True)
-        aligned = align_phases(db)
+        aligned = align_database(db)
         assert np.allclose(aligned.samples[1].right_modes, p1)
 
     def test_identity_angle_zero(self):
         p1 = np.array([[0.6 + 0.3j], [0.2 - 0.7j]])
         db = database_from_modes([0.0, 1.0], [p1, p1.copy()], paired=True)
-        aligned = align_phases(db)
-        assert np.array_equal(aligned.samples[1].right_modes, p1)
+        aligned = align_database(db)
+        # both samples turn so that the largest entry, 0.2 − 0.7j, is real and positive
+        expected = p1 * abs(p1[1, 0]) / p1[1, 0]
+        for k in range(2):
+            assert np.max(np.abs(aligned.right[:, :, k] - expected)) <= 1e-15
 
     def test_closed_form_beats_grid_search(self):
         rng = np.random.default_rng(21)
@@ -461,7 +465,7 @@ class TestAlignPhases:
             paired=True,
             normalize=True,
         )
-        aligned = align_phases(db)
+        aligned = align_database(db)
         phi1 = aligned.samples[0].right_modes[:, 0]
         rotated = aligned.samples[1].right_modes[:, 0]
         achieved = phase_objective(db.mass_factor, rotated, phi1, 0.0)
@@ -474,20 +478,38 @@ class TestAlignPhases:
         from eigendeform.systems import spring_chain_with_defect
 
         fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
-        db = align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 4), 3)))
+        db = align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 4), 3)))
         E = db.mass_factor.mass().toarray()
         for i in range(db.m):
-            ref = db.samples[0].right_modes[:, i]
-            for k in range(1, db.p):
-                c = np.vdot(ref, E @ db.samples[k].right_modes[:, i])
+            for k in range(db.p - 1):
+                c = np.vdot(db.right[:, i, k], E @ db.right[:, i, k + 1])
                 assert c.real >= 0 and abs(c.imag) <= 1e-12
+
+    def test_first_sample_convention(self, chain_db):
+        db = align_database(pair_modes(chain_db))
+        for i in range(db.m):
+            col = db.right[:, i, 0]
+            top = col[np.argmax(np.abs(col))]
+            assert top.real > 0 and abs(top.imag) <= 1e-15 * abs(top)
+
+    def test_traveling_bump_phases_follow_neighbours(self):
+        # a bump moves by more than its width over the sweep, so its late samples are
+        # orthogonal to the first: aligning to the neighbour, not to sample 0, keeps the chain
+        mus = np.linspace(0.0, 1.0, 81)
+        modes = np.stack([traveling_bump_family(400, 3.0, mu) for mu in mus], axis=1)[:, None, :]
+        phases = np.exp(1j * np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, mus.size))
+        aligned = align_database(database_from_modes(mus, modes * phases, paired=True))
+        chain = aligned.right_block(0)
+        overlaps = np.einsum("nk,nk->k", chain[:, :-1].conj(), chain[:, 1:])
+        assert np.max(np.abs(np.angle(overlaps))) <= 1e-12
+        assert aligned.warnings == ()
 
     def test_idempotent(self):
         from eigendeform.systems import spring_chain_with_defect
 
         fos = first_order_form(spring_chain_with_defect(4, k_defect=0.5))
-        db = align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 3.5, 3), 2)))
-        again = align_phases(db)
+        db = align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 3.5, 3), 2)))
+        again = align_database(db)
         for a, b in zip(again.samples, db.samples):
             assert np.max(np.abs(a.right_modes - b.right_modes)) <= 1e-14
 
@@ -529,11 +551,25 @@ class TestModeAt:
         from eigendeform.systems import spring_chain_with_defect
 
         fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
-        db = align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 4), 2)))
+        db = align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 4), 2)))
         mu = db.mus[2]
         truth = mode_at(fos, db, 0, mu)
         stored = db.samples[2].right_modes[:, 0]
         assert np.linalg.norm(truth - stored) <= 1e-8
+
+    def test_complex_mode_in_phase_with_nearest_sample(self):
+        # one dashpot makes the damping non-proportional, so the modes are genuinely complex
+        fos = first_order_form(spring_chain_with_defect(6, k_defect=0.5))
+        damper = np.zeros((12, 12))
+        damper[8, 8] = -0.3
+        damped = replace(fos, operator_at=lambda mu: fos.operator_at(mu).toarray() + damper)
+        db = align_database(pair_modes(sample_spectrum(damped, np.linspace(0.5, 5.5, 9), 4)))
+        F = db.mass_factor
+        for mu in (2.05, 3.3, 5.05):  # the soft spring sits elsewhere than at the nearest sample
+            nearest = int(np.argmin(np.abs(db.mus - mu)))
+            for i in range(db.m):
+                c = np.vdot(F @ db.right[:, i, nearest], F @ mode_at(damped, db, i, mu))
+                assert c.real > 0 and abs(c.imag) <= 1e-12 * abs(c)
 
     def test_reference_mode_is_mass_weighted(self):
         # masses 100 and 1, E-orthonormal modes φ = E^-½ ψ with ψ = (3, 1)/√10, (−1, 3)/√10:
@@ -546,7 +582,7 @@ class TestModeAt:
             return -half @ psi @ np.diag([1.0, 2.0 + mu]) @ psi.T @ half
 
         sys_ = FullOrderSystem(2, half @ half, operator, lambda mu: np.zeros(2), (0.0, 1.0))
-        db = align_signs(pair_modes(sample_spectrum(sys_, np.array([0.0, 1.0]), 1)))
+        db = align_database(pair_modes(sample_spectrum(sys_, np.array([0.0, 1.0]), 1)))
         for k in range(db.p):
             assert np.linalg.norm(mode_at(sys_, db, 0, db.mus[k]) - db.right[:, 0, k]) <= 1e-10
 
@@ -557,7 +593,7 @@ class TestModeAt:
 
     def test_partial_path_reproduces_stored_modes(self, monkeypatch):
         sys_ = heat_rod(200, h_left=0.0)
-        db = align_signs(pair_modes(sample_spectrum(sys_, np.linspace(0.0, 28.0, 4), 6)))
+        db = align_database(pair_modes(sample_spectrum(sys_, np.linspace(0.0, 28.0, 4), 6)))
         monkeypatch.setattr(numerics, "generalized_eig", None)  # the dense solver must not run
         E = sys_.mass.toarray()
         for k in (0, 2):

@@ -12,7 +12,7 @@ from eigendeform.edm import (
     interpolate_columns,
     interpolate_mode,
 )
-from eigendeform.modal import align_phases, align_signs, pair_modes, sample_spectrum
+from eigendeform.modal import align_database, pair_modes, sample_spectrum
 from eigendeform.numerics import MassFactor, generalized_eig, solve_linear
 from eigendeform.rom import (
     Rom,
@@ -43,13 +43,13 @@ def rod():
 
 @pytest.fixture(scope="module")
 def rod_db(rod):
-    return align_signs(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 8), 6)))
+    return align_database(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 8), 6)))
 
 
 @pytest.fixture(scope="module")
 def chain_db():
     fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
-    return align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 5), 3)))
+    return align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 5), 3)))
 
 
 def edm_bases(db, rank=2):
@@ -110,7 +110,7 @@ class TestBuildRomAtSample:
             build_rom_at_sample(rod_db, 3.123, 4, None)
 
     def test_full_rom_matches_spectral_solution(self, rod):
-        db = align_signs(pair_modes(sample_spectrum(rod, np.array([0.0, 14.0, 28.0]), rod.n)))
+        db = align_database(pair_modes(sample_spectrum(rod, np.array([0.0, 14.0, 28.0]), rod.n)))
         mu = 14.0
         xbar = equilibrium(rod, mu)
         x0 = equilibrium(rod, 100.0)
@@ -364,20 +364,20 @@ class TestBuildRomInterpolated:
             build_rom_interpolated(rod_db, 3.0, 6, strategy="edm", edm_bases=bases[::-1])
 
     def test_edm_refuses_bases_of_another_size(self, rod_db):
-        other = align_signs(pair_modes(sample_spectrum(heat_rod(24, h_left=1.0), rod_db.mus, 6)))
+        other = align_database(pair_modes(sample_spectrum(heat_rod(24, h_left=1.0), rod_db.mus, 6)))
         bases = [extract_edm_basis(other, i, rank=2) for i in range(6)]
         with pytest.raises(ValueError, match="right EDM basis 1 has 24 rows, the database has n=30"):
             build_rom_interpolated(rod_db, 3.0, 6, strategy="edm", edm_bases=bases)
 
     def test_edm_refuses_bases_of_another_sample_grid(self, rod, rod_db):
-        other = align_signs(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 7), 6)))
+        other = align_database(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 7), 6)))
         bases = [extract_edm_basis(other, i, rank=2) for i in range(6)]
         with pytest.raises(ValueError, match="right EDM basis 1 was built on other sample parameters"):
             build_rom_interpolated(rod_db, 3.0, 6, strategy="edm", edm_bases=bases)
 
     def test_edm_refuses_left_bases_of_other_chains(self):
         fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
-        db = align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 5), 3)))
+        db = align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 5), 3)))
         right = [extract_edm_basis(db, i, rank=3) for i in range(3)]
         left = [extract_edm_basis(db, i, rank=3, which="left") for i in range(3)]
         with pytest.raises(ValueError, match="left EDM basis 1 holds mode 3, not mode 1"):
@@ -389,7 +389,7 @@ class TestBuildRomInterpolated:
 
     def test_non_self_adjoint_uses_left_chains(self):
         fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
-        db = align_phases(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 5), 3)))
+        db = align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 5), 3)))
         rom = build_rom_interpolated(db, 2.2, 3, strategy="direct")
         assert rom.adjoint is not rom.basis
         # defect is measured and reported, not silently repaired
