@@ -86,6 +86,8 @@ class EdmBasis:
     parameters ``sample_mus``, checked when the basis is made;
     ``singular_values`` keeps the full spectrum of the weighted data matrix
     so energy fractions at any rank remain computable after truncation.
+    ``mean_mode``, ``edms`` and ``coefficients`` are stored in their common
+    dtype, so a real one is promoted when another is complex.
     """
 
     mode_index: int
@@ -107,6 +109,9 @@ class EdmBasis:
         if mus.shape != self.coefficients.shape[1:]:
             raise ValueError(f"{mus.size} sample parameters do not fit coefficients {self.coefficients.shape}")
         object.__setattr__(self, "sample_mus", mus)
+        dtype = np.result_type(self.mean_mode, self.edms, self.coefficients)
+        for name in ("mean_mode", "edms", "coefficients"):
+            object.__setattr__(self, name, getattr(self, name).astype(dtype, copy=False))
 
     @property
     def rank(self) -> int:
@@ -246,7 +251,10 @@ def interpolate_mode(basis: EdmBasis, mu: float, scheme: str = "linear") -> np.n
     instead of an n-dimensional one.
     """
     coeff = interpolate_columns(basis.sample_mus, basis.coefficients, mu, scheme)
-    return basis.mean_mode + basis.edms @ coeff
+    # the basis arrays share one dtype, so the product can take the mean in place: one n-vector, not two
+    out = basis.edms @ coeff
+    out += basis.mean_mode
+    return out
 
 
 def direct_interpolate(db: ModeDatabase, i: int, mu: float, scheme: str = "linear") -> np.ndarray:

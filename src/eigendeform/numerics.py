@@ -222,14 +222,20 @@ def generalized_eig(A, E, want_left: bool = False):
     E-orthonormal and ``left`` is None even with ``want_left``.  Otherwise
     ``want_left`` gives left vectors ψᴴA = λψᴴE with diag(leftᴴ E right) = 1;
     a defective pencil raises EigensolverError naming its first such λ.
+
+    A non-symmetric A is solved in the standard form B = F⁻ᵀAF⁻¹ (FᵀF = E;
+    Golub & Van Loan, §8.7) by one QR-iteration ``eig`` (xGEEV), not by QZ on
+    (A, E); the right and left vectors of B map back by F⁻¹.  As with
+    ``eigh(A, E)``, which makes the same reduction, each pair's backward error
+    grows like cond(E) ε.
     """
     A = _as_square(A, "A")
     E = _as_square(E, "E")
     if A.shape != E.shape:
         raise LinearAlgebraError(f"dimension mismatch: A is {A.shape}, E is {E.shape}")
-    cholesky_factor(E)  # validates that E is SPD (and so real)
 
     if is_symmetric(A):
+        cholesky_factor(E)  # refuses an E that is not SPD; eigh factors E itself, so no n × n factor stays alive
         try:
             w, v = scipy.linalg.eigh(A, E)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -237,19 +243,22 @@ def generalized_eig(A, E, want_left: bool = False):
         order = np.argsort(-w)
         return w[order].astype(complex), v[:, order], None
 
+    F = cholesky_factor(E)  # refuses an E that is not SPD (and so real)
+    # B = X F⁻¹ with X = F⁻ᵀA, the second solve made on Bᵀ = F⁻ᵀXᵀ
+    B = scipy.linalg.solve_triangular(F, scipy.linalg.solve_triangular(F, A, trans="T").T, trans="T").T
     try:
-        w, *vectors = scipy.linalg.eig(A, E, left=want_left, right=True)
+        w, *vectors = scipy.linalg.eig(B, left=want_left, right=True)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise EigensolverError("eigensolver returned non-finite eigenvalues")
 
     order = _spectral_order(w)
-    w, vr = w[order], vectors[-1][:, order]
+    w, vr = w[order], scipy.linalg.solve_triangular(F, vectors[-1][:, order])
     right = vr / np.sqrt(np.real(np.sum(vr.conj() * (E @ vr), axis=0)))
     if not want_left:
         return w, right, None
-    vl = vectors[0][:, order]
+    vl = scipy.linalg.solve_triangular(F, vectors[0][:, order])
     c = np.sum(vl.conj() * (E @ right), axis=0)
     defective = np.flatnonzero(np.abs(c) < 1e-12)
     if defective.size:

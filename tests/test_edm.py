@@ -195,6 +195,14 @@ class TestInterpolateMode:
         mid = interpolate_mode(basis, 0.5)
         assert np.allclose(mid, [0.5, 0.5])
 
+    def test_real_mean_with_complex_directions(self):
+        # the mode is added in place to the product, so a real mean must not cut off its imaginary part
+        mean = np.array([1.0, 2.0])
+        data = np.array([[1j, -1j], [1.0, -1.0]])
+        basis = compute_edms(mean, data, MassFactor(2), rank=1, mode_index=0, sample_mus=[0.0, 1.0])
+        assert basis.mean_mode.dtype == basis.edms.dtype == basis.coefficients.dtype == complex
+        assert np.allclose(interpolate_mode(basis, 0.0), mean + data[:, 0])
+
     def test_error_decreases_with_rank_and_matches_direct_at_full(self, rod, rod_db):
         grid = np.linspace(0.0, 28.0, 25)
         r_full = weighted_rank(rod_db, 0)

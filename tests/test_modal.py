@@ -281,6 +281,25 @@ class TestPairModes:
         with pytest.raises(ValueError):
             pair_modes(pair_modes(rod_db))
 
+    def test_chain_pairing_pinned(self, chain_db):
+        # the values a QZ solve of the pencil gives at every sample
+        paired = pair_modes(chain_db)
+        assert paired.crossing_gaps == (4,)
+        assert paired.warnings == ()
+        perms = [
+            [int(np.flatnonzero(chain_db.eigenvalues[:, k] == lam)[0]) for lam in paired.eigenvalues[:, k]]
+            for k in range(chain_db.p)
+        ]
+        assert perms == [[0, 1, 2, 3]] * 5 + [[1, 0, 2, 3]] * 4
+
+    def test_chain_eigenvalues_match_qz(self, chain_db):
+        fos = first_order_form(spring_chain_with_defect(6, k_defect=0.5))
+        for k, mu in enumerate(chain_db.mus):
+            w = scipy.linalg.eig(fos.operator_at(mu).toarray(), fos.mass.toarray(), right=False)
+            w = w[numerics._spectral_order(w)]
+            w = w[w.imag >= 0.0][: chain_db.m]
+            assert np.all(np.abs(chain_db.eigenvalues[:, k] - w) <= 1e-12 * np.abs(w))
+
 
 class TestArrayLayout:
     def test_chain_blocks_are_views(self, chain_db):
