@@ -1,7 +1,7 @@
 """Linear-algebra kernels with explicit accuracy contracts.
 
 The kernels take numpy arrays; ``solve_linear``, ``is_symmetric``, the
-eigensolvers (``generalized_eig`` densifies) and ``MassFactor.of`` also take
+eigensolvers (``generalized_eig`` densifies A) and ``MassFactor.of`` also take
 ``scipy.sparse`` matrices.  None mutates its inputs or holds state, so all
 are safe to call concurrently.  ``MassFactor`` is the one representation of
 the mass metric; the eigensolvers return ``(eigenvalues, right, left)``
@@ -145,10 +145,17 @@ class MassFactor:
     @classmethod
     def of(cls, E) -> MassFactor:
         """Factor of a dense or scipy.sparse E (COO entries included), refused as cholesky_factor refuses E."""
-        E = sp.coo_array(_as_square(E, "E", sparse=True))
+        E = _as_square(E, "E", sparse=True)
+        factor = cls._of_diagonal(E)
+        return cls(E.shape[0], cholesky=cholesky_factor(E)) if factor is None else factor
+
+    @classmethod
+    def _of_diagonal(cls, E) -> MassFactor | None:
+        """Factor of a real diagonal E in O(nnz), refused as cholesky_factor refuses E; None for any other E."""
+        E = sp.coo_array(E)
         on = E.row == E.col
         if np.iscomplexobj(E) or np.any(E.data[~on] != 0):
-            return cls(E.shape[0], cholesky=cholesky_factor(E.toarray()))
+            return None
         d = np.bincount(E.row[on], weights=E.data[on], minlength=E.shape[0])  # sums repeats, as toarray
         if not np.all(np.isfinite(d)):  # NaN or inf breaks E = Eᵀ, as in cholesky_factor
             raise SymmetryError("matrix is not symmetric within tolerance")
@@ -223,26 +230,44 @@ def generalized_eig(A, E, want_left: bool = False):
     ``want_left`` gives left vectors ψᴴA = λψᴴE with diag(leftᴴ E right) = 1;
     a defective pencil raises EigensolverError naming its first such λ.
 
-    A non-symmetric A is solved in the standard form B = F⁻ᵀAF⁻¹ (FᵀF = E;
-    Golub & Van Loan, §8.7) by one QR-iteration ``eig`` (xGEEV), not by QZ on
-    (A, E); the right and left vectors of B map back by F⁻¹.  As with
-    ``eigh(A, E)``, which makes the same reduction, each pair's backward error
-    grows like cond(E) ε.
+    Every pencil is solved in the standard form B = F⁻ᵀAF⁻¹ (FᵀF = E;
+    Golub & Van Loan, §8.7), whose vectors map back by F⁻¹, so each pair's
+    backward error grows like cond(E) ε.  For a symmetric A, F is
+    ``MassFactor.of(E)``: an identity or diagonal E scales A on both sides
+    (a sparse E is never densified), any other E is reduced by LAPACK
+    xSYGST with that factor; B is solved by ``eigh``'s divide-and-conquer
+    driver (xSYEVD), which at cond(E) = 1e8 stays well inside RESIDUAL_TOL
+    where the default MRRR driver does not.  A non-symmetric A is solved by
+    one QR-iteration ``eig`` (xGEEV) of B, not by QZ on (A, E).
     """
     A = _as_square(A, "A")
-    E = _as_square(E, "E")
+    E = _as_square(E, "E", sparse=True)
     if A.shape != E.shape:
         raise LinearAlgebraError(f"dimension mismatch: A is {A.shape}, E is {E.shape}")
 
     if is_symmetric(A):
-        cholesky_factor(E)  # refuses an E that is not SPD; eigh factors E itself, so no n × n factor stays alive
+        F = MassFactor.of(E)  # refuses an E that is not SPD; O(nnz) for a diagonal E
+        # B = F⁻ᵀAF⁻¹ in one Fortran-ordered array, solved in place
+        if F.kind == "dense":
+            sygst, = get_lapack_funcs(("sygst",), (A,))
+            # upper triangles: from lower ones the backward error at cond(E) = 1e8 nears RESIDUAL_TOL
+            B, info = sygst(A, F.cholesky, lower=0)
+            if info < 0:  # pragma: no cover - defensive
+                raise LinearAlgebraError(f"illegal value in argument {-info} of sygst")
+        else:
+            inverse = np.ones(F.n) if F.scale is None else 1.0 / F.scale
+            B = np.multiply(A, inverse[:, None], order="F")
+            B *= inverse
+        del A  # a densified sparse A is freed before the solve
         try:
-            w, v = scipy.linalg.eigh(A, E)
+            # divide and conquer: the default MRRR driver (evr) exceeds RESIDUAL_TOL at cond(E) = 1e8
+            w, v = scipy.linalg.eigh(B, lower=False, driver="evd", overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
-        order = np.argsort(-w)
-        return w[order].astype(complex), v[:, order], None
+        # F.solve of the reversed view writes a fresh Fortran-ordered array; the identity's needs the copy
+        return w[::-1].astype(complex), np.asfortranarray(F.solve(v[:, ::-1])), None
 
+    E = as_dense(E)
     F = cholesky_factor(E)  # refuses an E that is not SPD (and so real)
     # B = X F⁻¹ with X = F⁻ᵀA, the second solve made on Bᵀ = F⁻ᵀXᵀ
     B = scipy.linalg.solve_triangular(F, scipy.linalg.solve_triangular(F, A, trans="T").T, trans="T").T
@@ -320,15 +345,17 @@ def _check_partial(A, E, w: np.ndarray, v: np.ndarray, m: int) -> None:
         )
 
 
-def _partial_symmetric(A, E, m: int):
+def _partial_symmetric(A, E, F: MassFactor | None, m: int):
+    """The m slowest pairs of a symmetric pencil by ARPACK; F is E's factor when E is diagonal, else None."""
     n = A.shape[0]
     A, E = sp.csc_array(A), sp.csc_array(E)
-    pivots = _symmetric_lu(E).U.diagonal()
-    if np.any(pivots <= 0.0):
-        raise IndefiniteMatrixError(
-            "matrix is not positive definite: a pivot of its LDLᵀ factorization is not positive",
-            pivot=int(np.flatnonzero(pivots <= 0.0)[0]),
-        )
+    if F is None:
+        pivots = _symmetric_lu(E).U.diagonal()
+        if np.any(pivots <= 0.0):
+            raise IndefiniteMatrixError(
+                "matrix is not positive definite: a pivot of its LDLᵀ factorization is not positive",
+                pivot=int(np.flatnonzero(pivots <= 0.0)[0]),
+            )
     # the shift starts a millionth of the diagonal scale above zero and grows
     # until the inertia of A − σE puts it above every eigenvalue
     scale = float(np.max(np.abs(A.diagonal() / E.diagonal())))
@@ -344,10 +371,17 @@ def _partial_symmetric(A, E, m: int):
     else:
         raise EigensolverError("no shift above the spectrum found")
 
-    op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed: repeated calls agree bitwise
     try:
-        w, v = spla.eigsh(A, m + 1, M=E, sigma=sigma, which="LM", v0=v0, OPinv=op)
+        if F is None:  # generalized mode: no n × n factor of a non-diagonal E
+            op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            w, v = spla.eigsh(A, m + 1, M=E, sigma=sigma, which="LM", v0=v0, OPinv=op)
+        else:
+            # standard form B = F⁻ᵀAF⁻¹, (B − σI)⁻¹ = F (A − σE)⁻¹ F: one callback per Lanczos
+            # step; A only gives eigsh the shape and dtype
+            op = spla.LinearOperator((n, n), matvec=lambda x: F @ lu.solve(F @ x), dtype=float)
+            w, y = spla.eigsh(A, m + 1, sigma=sigma, which="LM", v0=v0, OPinv=op)
+            v = F.solve(y)
     except spla.ArpackError as exc:
         raise EigensolverError(f"ARPACK shift-invert solve failed: {exc}") from exc
     order = np.argsort(-w, kind="stable")
@@ -363,6 +397,11 @@ def slowest_eigenpairs(A, E, m: int, want_left: bool = False):
     with ``PARTIAL_FRACTION * m <= n`` takes the partial path: ARPACK in
     shift-invert mode (scipy.sparse.linalg.eigsh) solves for the m + 1
     slowest pairs from a fixed start vector, so repeated calls agree bitwise.
+    With an identity or diagonal E it solves the standard form F⁻ᵀAF⁻¹ of
+    E's MassFactor F, by the operator F (A − σE)⁻¹ F, and maps the vectors
+    back by F⁻¹; with any other symmetric E, which an LDLᵀ factorization
+    must show positive definite, it runs in generalized mode with M = E, so
+    no n × n factor of E is ever made.
     The shift sits above the whole spectrum, which an LDLᵀ inertia count of
     A − σE confirms, so a singular A (an insulated rod) is never factored.
     Before returning, the result must pass three checks, else
@@ -385,8 +424,10 @@ def slowest_eigenpairs(A, E, m: int, want_left: bool = False):
     n = A.shape[0]
     if not 1 <= m <= n:
         raise LinearAlgebraError(f"mode count {m} out of range [1, {n}]")
-    if PARTIAL_FRACTION * m <= n and is_symmetric(A) and is_symmetric(E):
-        return _partial_symmetric(A, E, m)
+    if PARTIAL_FRACTION * m <= n and is_symmetric(A):
+        F = MassFactor._of_diagonal(E)
+        if F is not None or is_symmetric(E):
+            return _partial_symmetric(A, E, F, m)
     w, right, left = generalized_eig(A, E, want_left=want_left)
     # the conjugate partner of a real pencil's eigenpair is implied
     keep = np.flatnonzero(np.iscomplexobj(A) | (w.imag >= 0.0))[:m]

@@ -256,7 +256,11 @@ def simulate_full(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
 
     Refuses more than MAX_DENSE states.  Falls back to trapezoidal integration
     with a warning when the eigenbasis is defective or too ill-conditioned to
-    invert reliably.
+    invert reliably.  The modes come from ``generalized_eig``, which solves a
+    symmetric pencil in the standard form of E's MassFactor.  The lift
+    ``x̄ + Re(Φ diag(c) e^{λt})`` scales the n × nt coefficients in place and
+    adds x̄ into the product, in real arithmetic for a real spectrum and
+    basis; ``states`` is a fresh C-ordered float64 array.
     """
     if sys.n > MAX_DENSE:
         raise ValueError(f"state dimension {sys.n} exceeds the dense limit {MAX_DENSE}")
@@ -279,8 +283,12 @@ def simulate_full(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
 
     if not np.iscomplexobj(phi) and not np.any(lam.imag):
         lam = lam.real  # a real spectrum and basis: lift without complex n x nt arrays
-    modal = c[:, None] * np.exp(np.outer(lam, times))
-    states = xbar[:, None] + np.real(phi @ modal)
+    modal = np.exp(np.outer(lam, times))
+    np.multiply(c[:, None], modal, out=modal)
+    states = phi @ modal
+    if np.iscomplexobj(states):
+        states = states.real.copy()  # not a view that keeps the complex product alive
+    states += xbar[:, None]
     return Trajectory(times, states)
 
 

@@ -185,13 +185,15 @@ class TestSampleSpectrumPaths:
         assert np.sqrt(np.einsum("nik,nj,jik->ik", diff, E, diff)).max() <= 1e-8
 
     def test_failed_self_check_names_parameter(self, monkeypatch):
-        def wrong_modes(A, k, M, **kwargs):  # exact eigenpairs, but skipping the slowest mode
-            w, v = scipy.linalg.eigh(A.toarray(), M.toarray())
-            return w[::-1][1:k + 1], v[:, ::-1][:, 1:k + 1]
+        rod = heat_rod(40, h_left=1.0)
+
+        def wrong_modes(A, k, **kwargs):  # exact standard-form eigenpairs, but skipping the slowest mode
+            w, v = scipy.linalg.eigh(A.toarray(), rod.mass.toarray())
+            return w[::-1][1:k + 1], numerics.MassFactor.of(rod.mass) @ v[:, ::-1][:, 1:k + 1]
 
         monkeypatch.setattr(numerics.spla, "eigsh", wrong_modes)
         with pytest.raises(EigensolverError, match="mu=14.0.*inertia"):
-            sample_spectrum(heat_rod(40, h_left=1.0), np.array([14.0, 20.0]), 3)
+            sample_spectrum(rod, np.array([14.0, 20.0]), 3)
 
 
 class TestPairModes:

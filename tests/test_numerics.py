@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -142,21 +144,30 @@ class TestGeneralizedEig:
         with pytest.raises(LinearAlgebraError):
             generalized_eig(np.eye(3), np.eye(2))
 
-    @pytest.mark.parametrize("complex_a", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "symmetric"])
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
-    def test_reduced_form_accuracy(self, cond, complex_a):
-        # The non-symmetric pencil is solved as F⁻ᵀAF⁻¹ with FᵀF = E, so, as for
-        # eigh(A, E), each pair's backward error grows like cond(E) ε: about
-        # 1e-11 at cond(E) = 1e8, where QZ on (A, E) stays near 2e-16.
+    def test_reduced_form_accuracy(self, cond, kind):
+        # Every pencil is solved in the standard form F⁻ᵀAF⁻¹ with FᵀF = E, so, as for
+        # eigh(A, E), each pair's backward error grows like cond(E) ε: about 1e-11 for a
+        # non-symmetric A at cond(E) = 1e8, where QZ on (A, E) stays near 2e-16.  A
+        # symmetric A also guards the eigh driver: MRRR (evr) exceeds RESIDUAL_TOL there.
         rng = np.random.default_rng(int(np.log10(cond)))
         n = 60
         A = rng.standard_normal((n, n))
-        if complex_a:
+        if kind == "complex":
             A = A + 1j * rng.standard_normal((n, n))
+        elif kind == "symmetric":
+            A = A + A.T
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         E = (Q * np.logspace(0.0, -np.log10(cond), n)) @ Q.T
         E = 0.5 * (E + E.T)  # dense, with eigenvalues 1 down to 1 / cond
         w, right, left = generalized_eig(A, E, want_left=True)
+        if kind == "symmetric":
+            assert left is None
+            left = right  # a self-adjoint pencil's left vectors are its right ones
+            oracle = scipy.linalg.eigh(A, E, eigvals_only=True)
+        else:
+            oracle = scipy.linalg.eig(A, E, right=False)
 
         scale = np.linalg.norm(A, 1) + np.abs(w) * np.linalg.norm(E, 1)
         backward_right = np.linalg.norm(A @ right - (E @ right) * w, axis=0) / (scale * np.linalg.norm(right, axis=0))
@@ -167,7 +178,6 @@ class TestGeneralizedEig:
 
         # first-order perturbation: a backward error η moves λ by at most
         # η (‖A‖ + |λ| ‖E‖) ‖ψ‖ ‖φ‖ / |ψᴴEφ|, and ψᴴEφ = 1 here
-        oracle = scipy.linalg.eig(A, E, right=False)
         rows, cols = linear_sum_assignment(np.abs(w[:, None] - oracle[None, :]))
         kappa = np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
         assert np.all(np.abs(w[rows] - oracle[cols]) <= numerics.RESIDUAL_TOL * kappa[rows] * scale[rows])
@@ -299,6 +309,15 @@ def use_no_arpack(monkeypatch):
     monkeypatch.setattr(numerics.spla, "eigsh", forbidden)
 
 
+def consistent_mass(n):
+    """The heat rod's consistent (finite-element) mass: tridiagonal (dx/6)·[1 4 1], end diagonals halved."""
+    dx = 1.0 / (n - 1)
+    diagonal = np.full(n, 4.0 * dx / 6.0)
+    diagonal[[0, -1]] /= 2.0
+    off = np.full(n - 1, dx / 6.0)
+    return sp.diags_array([off, diagonal, off], offsets=[-1, 0, 1], format="csr")
+
+
 def e_norm(E, x):
     return float(np.sqrt(x @ (E @ x)))
 
@@ -323,6 +342,35 @@ class TestSlowestEigenpairs:
             sign = 1.0 if phi @ (Ed @ want) >= 0 else -1.0
             assert e_norm(Ed, phi - sign * want) <= 1e-8
         assert left is None
+
+    @pytest.mark.parametrize("mu", [0.0, 14.0, 120.0])
+    @pytest.mark.parametrize("h_left", [0.0, 1.0])
+    def test_partial_path_matches_dense_oracle_with_consistent_mass(self, mu, h_left, monkeypatch):
+        n = 200
+        A, E = heat_rod(n, h_left=h_left).operator_at(mu), consistent_mass(n)
+        Ed = E.toarray()
+        ref_lam, ref_right, _ = generalized_eig(A.toarray(), Ed)
+        ref = ref_lam[:6].real
+        use_no_dense_solver(monkeypatch)
+        lam, right, _ = slowest_eigenpairs(A, E, 6)
+        assert np.all(lam.imag == 0.0)
+        assert np.all(np.abs(lam.real - ref) <= 1e-9 * np.maximum(np.abs(ref), 1.0))
+        for phi, want in zip(right.T, ref_right.T):
+            sign = 1.0 if phi @ (Ed @ want) >= 0 else -1.0
+            assert e_norm(Ed, phi - sign * want) <= 1e-8
+
+    def test_consistent_mass_needs_no_dense_factor(self):
+        # a standard form would need E's dense Cholesky factor, 3.2 GB at this size
+        n = 20000
+        A, E = heat_rod(n).operator_at(14.0), consistent_mass(n)
+        tracemalloc.start()
+        try:
+            lam, _, _ = slowest_eigenpairs(A, E, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lam.shape == (6,) and np.all(lam.real < 0.0)
+        assert peak <= 64e6
 
     def test_partial_path_skips_the_dense_solver(self, monkeypatch):
         sys_ = heat_rod(60, h_left=0.0)
@@ -428,17 +476,23 @@ class TestSlowestEigenpairs:
             slowest_eigenpairs(heat_rod(n).operator_at(1.0), E, 2)
 
 
-def dense_arpack(skip: int = 0, perturb: float = 0.0, duplicate: bool = False):
-    """An eigsh stand-in returning dense eigenpairs, optionally the wrong ones."""
+def dense_arpack(E, skip: int = 0, perturb: float = 0.0, duplicate: bool = False):
+    """An eigsh stand-in for a pencil with diagonal mass E, optionally returning the wrong pairs.
 
-    def eigsh(A, k, M, **kwargs):
-        w, v = scipy.linalg.eigh(A.toarray(), M.toarray())
+    Like ARPACK on the standard form F⁻ᵀAF⁻¹ (FᵀF = E), it takes no M and
+    returns the vectors y = Fφ of the pencil's dense eigenpairs.
+    """
+
+    def eigsh(A, k, **kwargs):
+        assert "M" not in kwargs
+        w, v = scipy.linalg.eigh(A.toarray(), E.toarray())
         w, v = w[::-1][skip:skip + k].copy(), v[:, ::-1][:, skip:skip + k].copy()
-        v[0, 0] += perturb
+        y = numerics.MassFactor.of(E) @ v
+        y[0, 0] += perturb
         if duplicate:
-            v[:, 1] = v[:, 0]
+            y[:, 1] = y[:, 0]
             w[1] = w[0]
-        return w, v
+        return w, y
 
     return eigsh
 
@@ -453,22 +507,22 @@ class TestPartialSelfChecks:
 
     def test_stand_in_passes_when_it_returns_the_right_modes(self, pencil, monkeypatch):
         expected, _, _ = slowest_eigenpairs(*pencil, 4)
-        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack())
+        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(pencil[1]))
         got, _, _ = slowest_eigenpairs(*pencil, 4)
         assert np.allclose(got, expected, rtol=1e-10)
 
     def test_missed_slowest_mode_fails_the_inertia_count(self, pencil, monkeypatch):
-        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(skip=1))
+        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(pencil[1], skip=1))
         with pytest.raises(EigensolverError, match="inertia"):
             slowest_eigenpairs(*pencil, 4)
 
     def test_inaccurate_pair_fails_the_residual_check(self, pencil, monkeypatch):
-        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(perturb=1e-6))
+        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(pencil[1], perturb=1e-6))
         with pytest.raises(EigensolverError, match="backward error"):
             slowest_eigenpairs(*pencil, 4)
 
     def test_repeated_pair_fails_the_orthonormality_check(self, pencil, monkeypatch):
-        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(duplicate=True))
+        monkeypatch.setattr(numerics.spla, "eigsh", dense_arpack(pencil[1], duplicate=True))
         with pytest.raises(EigensolverError, match="orthonormal"):
             slowest_eigenpairs(*pencil, 4)
 

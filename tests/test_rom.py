@@ -290,6 +290,21 @@ class TestSimulateFull:
         # three real n x nt arrays (modal, product, states); a complex lift needs five
         assert peak <= 3.5 * rod.n * times.size * 8
 
+    def test_reference_peak_memory(self):
+        # the dense eigensolve and the lift together: B and its eigh workspace, then the
+        # modal coefficients and the states, each n x nt, made once
+        rod = heat_rod(800, h_left=1.0, t_ambient=293.0, heat_source=5.0)
+        mu, x0 = 11.0, equilibrium(rod, 60.0)
+        times = np.linspace(0.0, 2.0, 1001)
+        simulate_full(rod, mu, x0, times[:2])  # warm caches outside the traced call
+        tracemalloc.start()
+        try:
+            simulate_full(rod, mu, x0, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * rod.n**2 * 8
+
     def test_complex_spectrum_lift_unchanged(self):
         chain = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
         mu, times = 1.5, np.linspace(0.0, 3.0, 61)
