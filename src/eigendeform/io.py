@@ -124,7 +124,8 @@ def _coo_bytes(E: sp.coo_array) -> bytes:
 
 
 def _identity_coo_bytes(n: int) -> bytes:
-    return ("\n".join(f"{i} {i} 1.0" for i in range(n)) + "\n").encode()
+    """The identity's E.coo: one line ``"i i 1.0"`` per i < n, formatted by one %-operation."""
+    return (("%d %d 1.0\n" * n) % tuple(np.repeat(np.arange(n), 2).tolist())).encode()
 
 
 _COO_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .numerics import EigensolverError, MassFactor, slowest_eigenpairs
+from .numerics import (
+    EigensolverError,
+    MassFactor,
+    as_dense,
+    check_backward_errors,
+    generalized_eig,
+    is_symmetric,
+    slowest_eigenpairs,
+)
 from .systems import FullOrderSystem, traveling_bump_family
 
 
@@ -113,12 +121,55 @@ class ModeDatabase:
 
 
 def _slowest_at(sys: FullOrderSystem, mu: float, m: int, want_left: bool = False):
-    """``slowest_eigenpairs`` of the pencil at mu; a failed solve is re-raised naming mu."""
+    """The m slowest pairs of the pencil at mu; a failed solve is re-raised naming mu.
+
+    A system that declares its ``second_order`` form is solved from (K(μ), M)
+    by ``_undamped_pairs``; any other by ``slowest_eigenpairs``.
+    """
     A = sys.operator_at(mu)
+    K = None if sys.second_order is None else sys.second_order.stiffness_at(mu)
     try:
-        return slowest_eigenpairs(A, sys.mass, m, want_left=want_left)
+        if K is None:
+            return slowest_eigenpairs(A, sys.mass, m, want_left=want_left)
+        return _undamped_pairs(K, sys.second_order.mass, A, sys.mass, m, want_left)
     except (EigensolverError, ValueError) as exc:
         raise EigensolverError(f"eigensolve failed at mu={mu}: {exc}") from exc
+
+
+def _undamped_pairs(K, M, A, E, m: int, want_left: bool):
+    """The pairs of (A, E) = ([[0, I], [K, 0]], diag(I, M)) that ``slowest_eigenpairs`` keeps, from (K, M).
+
+    Each (κ, y) of the symmetric pencil (K, M), with yᵀMy = 1, gives λ = iω,
+    ω = √(−κ), with right vector φ = s [y; iωy], s = 1/√(yᵀy + ω²), of unit
+    E-norm, and left vector ψ = [−iωMy; y] / conj(2iωs), so that ψᴴEφ = 1
+    (Tisseur & Meerbergen 2001, §3).  All real parts tie at 0, so the dense
+    order keeps the min(m, n) largest ω, largest first; so does this.  Refused
+    unless K is symmetric, every κ < 0, and every returned pair passes
+    ``check_backward_errors`` against (A, E) itself.
+    """
+    # dense, as the first-order solve this replaces densifies A: scipy.sparse's
+    # per-call overhead would cost more than the whole n × n solve
+    K, M, A, E = (as_dense(a) for a in (K, M, A, E))
+    if not is_symmetric(K):
+        raise EigensolverError("stiffness K is not symmetric")
+    kappa, y, _ = generalized_eig(K, M)
+    kappa = kappa.real
+    if kappa[0] >= 0.0:  # sorted descending: the first is the largest
+        raise EigensolverError(
+            f"stiffness eigenvalue {kappa[0]:.6g} >= 0: the first-order pencil is not purely oscillatory"
+        )
+    k = min(m, kappa.size)
+    omega = np.sqrt(-kappa[::-1][:k])  # ascending κ is descending ω
+    y = y[:, ::-1][:, :k]
+    s = 1.0 / np.sqrt(np.einsum("ij,ij->j", y, y) + omega**2)
+    w = 1j * omega
+    right = np.vstack((s * y, (w * s) * y))
+    check_backward_errors(A, E, w, right, "right pair")
+    if not want_left:
+        return w, right, None
+    left = np.vstack((-w * (M @ y), y)) / np.conj(2.0 * w * s)
+    check_backward_errors(A.conj().T, E, w.conj(), left, "left pair")
+    return w, right, left
 
 
 def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
@@ -130,7 +181,12 @@ def sample_spectrum(sys: FullOrderSystem, mus, m: int) -> ModeDatabase:
     the conjugate is implied.  Left eigenvectors are stored whenever the
     operator is not symmetric.  The result is unpaired and unaligned.
 
-    Each sample goes through ``numerics.slowest_eigenpairs``: a real
+    A system that declares its ``second_order`` form (``first_order_form``
+    does) is solved at each sample from the symmetric pencil (K(μ), M), and
+    its first-order pairs built in closed form and checked against the
+    system's own operator and mass (``_undamped_pairs``); it keeps the same
+    modes as the dense first-order solve, with real parts exactly 0.  Any
+    other system goes through ``numerics.slowest_eigenpairs``: a real
     symmetric pencil with 4 m <= n is solved for its m slowest modes only,
     by sparse shift-invert with checked residuals and an inertia count;
     any other pencil is solved in full, densely.
@@ -293,8 +349,10 @@ def align_database(db: ModeDatabase) -> ModeDatabase:
 def mode_at(sys: FullOrderSystem, db: ModeDatabase, i: int, mu: float) -> np.ndarray:
     """Exact eigenmode of chain i at an arbitrary parameter, aligned to the database.
 
-    Solves for the 2m slowest tracked modes at μ (``slowest_eigenpairs``, so
-    a real symmetric pencil takes the partial path), picks the one with the
+    Solves for the 2m slowest tracked modes at μ as ``sample_spectrum`` does
+    (from (K(μ), M) for a declared ``second_order`` system, else by
+    ``slowest_eigenpairs``, where a real symmetric pencil takes the partial
+    path), picks the one with the
     largest MAC against chain i at the nearest sampled parameter, and scales
     it by the unit factor that makes its mass-weighted overlap with that
     sample real and positive, as ``align_database`` does between neighbours.

@@ -151,12 +151,23 @@ class MassFactor:
 
     @classmethod
     def _of_diagonal(cls, E) -> MassFactor | None:
-        """Factor of a real diagonal E in O(nnz), refused as cholesky_factor refuses E; None for any other E."""
-        E = sp.coo_array(E)
-        on = E.row == E.col
-        if np.iscomplexobj(E) or np.any(E.data[~on] != 0):
+        """Factor of a real diagonal E, refused as cholesky_factor refuses E; None for any other E.
+
+        O(nnz) for a sparse E; a dense E is read in place, with no n × n copy.
+        """
+        if np.iscomplexobj(E):
             return None
-        d = np.bincount(E.row[on], weights=E.data[on], minlength=E.shape[0])  # sums repeats, as toarray
+        if sp.issparse(E):
+            E = sp.coo_array(E)
+            on = E.row == E.col
+            if np.any(E.data[~on] != 0):
+                return None
+            d = np.bincount(E.row[on], weights=E.data[on], minlength=E.shape[0])  # sums repeats, as toarray
+        else:
+            d = np.diagonal(E)
+            if np.count_nonzero(E) != np.count_nonzero(d):  # a nonzero (or NaN) off the diagonal
+                return None
+            d = d.astype(float)
         if not np.all(np.isfinite(d)):  # NaN or inf breaks E = Eᵀ, as in cholesky_factor
             raise SymmetryError("matrix is not symmetric within tolerance")
         if not np.all(d > 0.0):
@@ -316,19 +327,27 @@ def _norm1(a) -> float:
     return float(abs(a).sum(axis=0).max())
 
 
-def _check_partial(A, E, w: np.ndarray, v: np.ndarray, m: int) -> None:
-    """Raise EigensolverError unless the m + 1 pairs (w, v) prove to hold the m slowest."""
-    Ev = E @ v
-    backward = np.linalg.norm(A @ v - Ev * w, axis=0) / (
+def check_backward_errors(A, E, w: np.ndarray, v: np.ndarray, kind: str = "eigenpair") -> None:
+    """Raise EigensolverError unless every pair (w[j], v[:, j]) has backward error at most RESIDUAL_TOL.
+
+    The backward error is ‖Av − λEv‖ / ((‖A‖₁ + |λ|‖E‖₁)‖v‖); ``kind`` names
+    the pairs in the message.
+    """
+    backward = np.linalg.norm(A @ v - (E @ v) * w, axis=0) / (
         (_norm1(A) + np.abs(w) * _norm1(E)) * np.linalg.norm(v, axis=0)
     )
     worst = int(np.argmax(backward))
     if not backward[worst] <= RESIDUAL_TOL:
         raise EigensolverError(
-            f"eigenpair {worst} (eigenvalue {w[worst]:.6g}) has backward error "
+            f"{kind} {worst} (eigenvalue {w[worst]:.6g}) has backward error "
             f"{backward[worst]:.2e} > {RESIDUAL_TOL:.0e}"
         )
-    defect = float(np.max(np.abs(v.T @ Ev - np.eye(w.size))))
+
+
+def _check_partial(A, E, w: np.ndarray, v: np.ndarray, m: int) -> None:
+    """Raise EigensolverError unless the m + 1 pairs (w, v) prove to hold the m slowest."""
+    check_backward_errors(A, E, w, v)
+    defect = float(np.max(np.abs(v.T @ (E @ v) - np.eye(w.size))))
     if not defect <= ORTHONORMALITY_TOL:
         raise EigensolverError(
             f"eigenvectors are not E-orthonormal: defect {defect:.2e} > {ORTHONORMALITY_TOL:.0e}"

@@ -18,7 +18,7 @@ from scipy.linalg.blas import dgemm
 
 from .edm import EdmBasis, check_basis, interpolate_columns
 from .modal import ModeDatabase
-from .numerics import MassFactor, SingularMatrixError, as_dense, generalized_eig, solve_linear
+from .numerics import MassFactor, SingularMatrixError, as_dense, generalized_eig, is_symmetric, solve_linear
 from .systems import FullOrderSystem, equilibrium
 
 # largest state dimension simulate_full solves by a dense eigendecomposition
@@ -254,10 +254,12 @@ def crank_nicolson(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
 def simulate_full(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
     """Exact spectral solution of the full-order system about its equilibrium.
 
-    Refuses more than MAX_DENSE states.  Falls back to trapezoidal integration
-    with a warning when the eigenbasis is defective or too ill-conditioned to
-    invert reliably.  The modes come from ``generalized_eig``, which solves a
-    symmetric pencil in the standard form of E's MassFactor.  The lift
+    Refuses more than MAX_DENSE states.  The modes come from
+    ``generalized_eig``, which solves a symmetric pencil in the standard form
+    of E's MassFactor; its E-orthonormal Φ gives c = ΦᵀE(x0 − x̄) by
+    projection.  Any other Φ is inverted, c = Φ⁻¹(x0 − x̄), falling back to
+    trapezoidal integration with a warning when it is defective or too
+    ill-conditioned (cond(Φ) > 1e12) to invert reliably.  The lift
     ``x̄ + Re(Φ diag(c) e^{λt})`` scales the n × nt coefficients in place and
     adds x̄ into the product, in real arithmetic for a real spectrum and
     basis; ``states`` is a fresh C-ordered float64 array.
@@ -268,11 +270,15 @@ def simulate_full(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     xbar = equilibrium(sys, mu)
 
+    A = sys.operator_at(mu)
     try:
-        lam, phi, _ = generalized_eig(sys.operator_at(mu), sys.mass)
-        if np.linalg.cond(phi) > 1e12:
-            raise SingularMatrixError("eigenbasis is ill-conditioned", rcond=0.0)
-        c = solve_linear(phi, (x0 - xbar).astype(phi.dtype))
+        lam, phi, _ = generalized_eig(A, sys.mass)
+        if is_symmetric(A):  # Φ is E-orthonormal: project
+            c = phi.T @ (sys.mass @ (x0 - xbar))
+        else:
+            if np.linalg.cond(phi) > 1e12:
+                raise SingularMatrixError("eigenbasis is ill-conditioned", rcond=0.0)
+            c = solve_linear(phi, (x0 - xbar).astype(phi.dtype))
     except (SingularMatrixError, ValueError) as exc:
         _warnings.warn(
             f"spectral solution unavailable ({exc}); falling back to time integration",
@@ -334,11 +340,18 @@ def trajectory_error(reference: Trajectory, test: Trajectory, mass_factor: MassF
 
 
 def default_horizon(db: ModeDatabase) -> float:
-    """Horizon of HORIZON_TIMES characteristic times of the slowest mode at the first sample."""
-    rate = abs(db.eigenvalues[0, 0].real)
-    if rate == 0.0:
-        raise ValueError("slowest eigenvalue has zero real part; specify a horizon")
-    return HORIZON_TIMES / rate
+    """Horizon of HORIZON_TIMES characteristic times 1 / |Re λ| of the slowest mode at the first sample.
+
+    A real part within 1e-10 |λ| of 0 (round-off on an undamped spectrum), or
+    above it, does not decay and has no characteristic time: ValueError.
+    """
+    slowest = db.eigenvalues[0, 0]
+    if not slowest.real < -1e-10 * abs(slowest):
+        raise ValueError(
+            f"the default horizon needs a decaying spectrum; the slowest eigenvalue is {slowest:.6g}: "
+            "specify a horizon"
+        )
+    return HORIZON_TIMES / -slowest.real
 
 
 def benchmark_strategies(

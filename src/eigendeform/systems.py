@@ -76,6 +76,16 @@ class AffineDecomposition:
 
 
 @dataclass(frozen=True)
+class SecondOrderSystem:
+    """Mechanical system M ÿ = K(μ) y with M SPD and K negative semidefinite (dense or sparse)."""
+
+    mass: np.ndarray | sp.sparray
+    stiffness_at: Callable[[float], np.ndarray | sp.sparray]
+    parameter_domain: tuple[float, float]
+    metadata: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class FullOrderSystem:
     """First-order system E ẋ = A(μ) x + b(μ) on a closed parameter interval.
 
@@ -92,6 +102,12 @@ class FullOrderSystem:
     updates it for every μ.  The declaration must agree with ``operator_at``
     and ``source_at``.  ``dataclasses.replace`` gives a system with no kept
     solve.
+
+    ``second_order``, when set, declares that the system is the first-order
+    form of that undamped ``SecondOrderSystem`` (see ``first_order_form``);
+    ``modal.sample_spectrum`` and ``modal.mode_at`` then solve each μ from
+    the symmetric pencil (K(μ), M) instead of the dense first-order one, and
+    check the result against ``operator_at`` and ``mass``.
     """
 
     n: int
@@ -101,6 +117,7 @@ class FullOrderSystem:
     parameter_domain: tuple[float, float]
     metadata: dict = field(default_factory=dict)
     affine: AffineDecomposition | None = None
+    second_order: SecondOrderSystem | None = None
 
     @cached_property
     def _affine_reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
@@ -114,16 +131,6 @@ class FullOrderSystem:
             return None
         y_b, y_u, y_s = (np.ascontiguousarray(col) for col in y.T)
         return y_b, y_u, y_s, affine.v @ y_u
-
-
-@dataclass(frozen=True)
-class SecondOrderSystem:
-    """Mechanical system M ÿ = K(μ) y with M SPD and K negative semidefinite (dense or sparse)."""
-
-    mass: np.ndarray | sp.sparray
-    stiffness_at: Callable[[float], np.ndarray | sp.sparray]
-    parameter_domain: tuple[float, float]
-    metadata: dict = field(default_factory=dict)
 
 
 def heat_rod(
@@ -262,7 +269,10 @@ def first_order_form(sys: SecondOrderSystem) -> FullOrderSystem:
 
     The result has mass [[I, 0], [0, M]], operator [[0, I], [K(μ), 0]] and a
     zero source, as CSR arrays.  For symmetric negative definite K and SPD M
-    the spectrum is purely imaginary: undamped oscillations.
+    the spectrum is purely imaginary: undamped oscillations.  The result
+    declares ``sys`` as its ``second_order``, so its modes are solved from
+    (K(μ), M); ``dataclasses.replace(result, second_order=None)`` gives the
+    same system solved as a dense first-order pencil.
     """
     n = sys.mass.shape[0]
     mass = _identity_over(sys.mass, 0, n)
@@ -277,7 +287,7 @@ def first_order_form(sys: SecondOrderSystem) -> FullOrderSystem:
     gen = meta.get("generator")
     if gen is not None:
         meta["generator"] = {"name": gen["name"] + "+first-order", "args": gen["args"]}
-    return FullOrderSystem(2 * n, mass, operator_at, source_at, sys.parameter_domain, meta)
+    return FullOrderSystem(2 * n, mass, operator_at, source_at, sys.parameter_domain, meta, second_order=sys)
 
 
 def equilibrium(sys: FullOrderSystem, mu: float) -> np.ndarray:

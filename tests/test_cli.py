@@ -229,6 +229,20 @@ class TestInterpAndRom:
         assert len(rows) == 41 and len(header) == 13
 
 
+    def test_rom_without_horizon_refuses_an_undamped_database(self, tmp_path, capsys):
+        db_dir = tmp_path / "chain"
+        assert run("generate", "spring-chain", "--n-mass", "5", "--mu-grid", "0.5:4.5:4",
+                   "--m", "3", "--out", str(db_dir)) == 0
+        x0 = tmp_path / "x0.npy"
+        np.save(x0, np.linspace(0.1, 1.0, 10))
+        capsys.readouterr()
+        out = tmp_path / "traj.csv"
+        assert run("rom", "--db", str(db_dir), "--mu", "2.7", "--strategy", "direct",
+                   "--x0-npy", str(x0), "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip()
+        assert "needs a decaying spectrum" in err and "specify a horizon" in err and "\n" not in err
+        assert not out.exists()
+
 class TestReports:
     def test_error_sweep_structure(self, rod_db_dir, tmp_path):
         out = tmp_path / "errors.csv"

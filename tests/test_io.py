@@ -13,6 +13,7 @@ from eigendeform.edm import extract_edm_basis
 from eigendeform.io import (
     _coo_bytes,
     _coo_parse,
+    _identity_coo_bytes,
     _write_atomic,
     ChecksumError,
     FormatError,
@@ -187,6 +188,11 @@ class TestCooParse:
         coo = _coo_parse(_coo_bytes(sp.coo_array((values, (rows, cols)), shape=(n, n))), n)
         assert np.array_equal(coo.row, rows) and np.array_equal(coo.col, cols)
         assert coo.data.dtype == np.float64 and bit_equal(coo.data, values)
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 20000])
+    def test_identity_bytes_match_a_per_row_formatter(self, n):
+        per_row = ("\n".join(f"{i} {i} 1.0" for i in range(n)) + "\n").encode()
+        assert _identity_coo_bytes(n) == per_row
 
     def test_saved_diagonal_mass_loads_to_the_same_factor_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -156,6 +156,25 @@ class TestRefusals:
             MassFactor.of(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_dense_input_is_classified_without_an_n_by_n_copy(kind):
+    """n = 800: deciding whether a dense E is diagonal reads it in place."""
+    n = 800
+    rng = np.random.default_rng(11)
+    if kind == "diagonal":
+        E = np.diag(rng.uniform(0.5, 2.0, n))
+    else:
+        B = rng.standard_normal((n, n))
+        E = B @ B.T + n * np.eye(n)
+    tracemalloc.start()
+    try:
+        factor = MassFactor._of_diagonal(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (factor is None) == (kind == "dense")
+    assert peak <= 0.05 * n * n * 8, f"peak traced memory {peak / 1e6:.2f} MB"
+
 # a zero, negative, NaN or inf diagonal entry, or none at all, in three entry points
 ENTRY_REFUSALS = BAD_DIAGONAL + [(None, IndefiniteMatrixError)]
 

@@ -17,7 +17,7 @@ from eigendeform.modal import (
     sample_spectrum,
     synthetic_wide_database,
 )
-from eigendeform import numerics
+from eigendeform import modal, numerics
 from eigendeform.numerics import EigensolverError, cholesky_factor, generalized_eig, is_symmetric
 from eigendeform.systems import (
     FullOrderSystem,
@@ -150,7 +150,12 @@ class TestSampleSpectrumPaths:
         "make, mus, m",
         [
             (lambda: heat_rod(16, h_left=1.0), np.linspace(0.0, 28.0, 4), 16),  # m = n
-            (lambda: first_order_form(spring_chain_with_defect(12, mass=2.0)), np.linspace(0.5, 11.5, 7), 6),
+            # undeclared: without second_order the chain takes the dense first-order path
+            (
+                lambda: replace(first_order_form(spring_chain_with_defect(12, mass=2.0)), second_order=None),
+                np.linspace(0.5, 11.5, 7),
+                6,
+            ),
         ],
         ids=["rod-m-equals-n", "complex-chain"],
     )
@@ -194,6 +199,63 @@ class TestSampleSpectrumPaths:
         monkeypatch.setattr(numerics.spla, "eigsh", wrong_modes)
         with pytest.raises(EigensolverError, match="mu=14.0.*inertia"):
             sample_spectrum(rod, np.array([14.0, 20.0]), 3)
+
+
+def undamped(stiffness):
+    """First-order form of M ÿ = K(μ) y with M = I, declaring its second-order system."""
+    return first_order_form(SecondOrderSystem(np.eye(2), stiffness, (0.0, 1.0)))
+
+
+def dense_path_taken(*args, **kwargs):
+    raise AssertionError("the dense first-order path was taken")
+
+
+class TestUndampedRoute:
+    def test_matches_dense_path(self, monkeypatch):
+        # the 24-mass chain at m = 12: the (K, M) route against its dense first-order solve
+        chain = first_order_form(spring_chain_with_defect(24, mass=2.0))
+        mus = np.linspace(0.5, 23.5, 49)
+        oracle = sample_spectrum(replace(chain, second_order=None), mus, 12)
+        monkeypatch.setattr(modal, "slowest_eigenpairs", dense_path_taken)
+        db = sample_spectrum(chain, mus, 12)
+        assert np.all(db.eigenvalues.real == 0.0)
+        omega = oracle.eigenvalues.imag
+        assert np.all(np.abs(db.eigenvalues.imag - omega) <= 1e-13 * omega)
+        E = chain.mass.toarray()
+        eye = np.eye(db.m)
+        for k in range(db.p):
+            right, left, expected = db.right[:, :, k], db.left[:, :, k], oracle.right[:, :, k]
+            overlap = np.sum(expected.conj() * (E @ right), axis=0)
+            assert np.abs(right - expected * (overlap / np.abs(overlap))).max() <= 1e-12
+            assert np.abs(np.diag(right.conj().T @ E @ right) - 1.0).max() <= 1e-12
+            assert np.abs(left.conj().T @ E @ right - eye).max() <= 1e-12
+        prepared, prepared_oracle = (align_database(pair_modes(d)) for d in (db, oracle))
+        assert prepared.crossing_gaps == prepared_oracle.crossing_gaps != ()
+        assert prepared.warnings == prepared_oracle.warnings
+
+    def test_mode_at_takes_the_route(self, monkeypatch):
+        chain = first_order_form(spring_chain_with_defect(6, k_defect=0.5))
+        db = align_database(pair_modes(sample_spectrum(chain, np.linspace(0.5, 5.5, 9), 4)))
+        expected = mode_at(replace(chain, second_order=None), db, 1, 3.3)
+        monkeypatch.setattr(modal, "slowest_eigenpairs", dense_path_taken)
+        assert np.abs(mode_at(chain, db, 1, 3.3) - expected).max() <= 1e-12
+
+    def test_refuses_nonsymmetric_stiffness(self):
+        sys_ = undamped(lambda mu: np.array([[-2.0, 0.5 * mu], [0.0, -3.0]]))
+        with pytest.raises(EigensolverError, match="mu=1.0.*not symmetric"):
+            sample_spectrum(sys_, np.array([0.0, 1.0]), 1)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_refuses_a_stiffness_eigenvalue_not_below_zero(self, kappa):
+        sys_ = undamped(lambda mu: np.diag([-1.0, -1.0 + mu * (1.0 + kappa)]))
+        with pytest.raises(EigensolverError, match=f"mu=1.0.*stiffness eigenvalue {kappa:g} >= 0"):
+            sample_spectrum(sys_, np.array([0.0, 1.0]), 1)
+
+    def test_refuses_a_declaration_that_disagrees_with_the_operator(self):
+        chain = first_order_form(spring_chain_with_defect(6, k_defect=0.5))
+        wrong = replace(chain, second_order=spring_chain_with_defect(6, k_defect=0.25))
+        with pytest.raises(EigensolverError, match="mu=0.5.*right pair .* backward error"):
+            sample_spectrum(wrong, np.linspace(0.5, 5.5, 3), 2)
 
 
 class TestPairModes:
@@ -583,7 +645,8 @@ class TestModeAt:
         fos = first_order_form(spring_chain_with_defect(6, k_defect=0.5))
         damper = np.zeros((12, 12))
         damper[8, 8] = -0.3
-        damped = replace(fos, operator_at=lambda mu: fos.operator_at(mu).toarray() + damper)
+        # damped, it is no longer the first-order form of the undamped chain it declares
+        damped = replace(fos, operator_at=lambda mu: fos.operator_at(mu).toarray() + damper, second_order=None)
         db = align_database(pair_modes(sample_spectrum(damped, np.linspace(0.5, 5.5, 9), 4)))
         F = db.mass_factor
         for mu in (2.05, 3.3, 5.05):  # the soft spring sits elsewhere than at the nearest sample

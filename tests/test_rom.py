@@ -12,7 +12,7 @@ from eigendeform.edm import (
     interpolate_columns,
     interpolate_mode,
 )
-from eigendeform.modal import align_database, pair_modes, sample_spectrum
+from eigendeform.modal import align_database, database_from_modes, pair_modes, sample_spectrum
 from eigendeform.numerics import MassFactor, generalized_eig, solve_linear
 from eigendeform.rom import (
     Rom,
@@ -289,6 +289,20 @@ class TestSimulateFull:
         assert np.linalg.norm(states - expected) <= 1e-13 * np.linalg.norm(deviation)
         # three real n x nt arrays (modal, product, states); a complex lift needs five
         assert peak <= 3.5 * rod.n * times.size * 8
+
+    def test_self_adjoint_pencil_is_projected_not_inverted(self, rod, monkeypatch):
+        mu, x0 = 11.0, equilibrium(rod, 60.0)
+        times = np.linspace(0.0, 2.0, 41)
+        expected = complex_spectral_lift(rod, mu, x0, times)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the E-orthonormal eigenbasis was inverted")
+
+        monkeypatch.setattr(rom_module, "solve_linear", forbidden)
+        monkeypatch.setattr(rom_module.np.linalg, "cond", forbidden)
+        states = simulate_full(rod, mu, x0, times).states
+        deviation = expected - equilibrium(rod, mu)[:, None]
+        assert np.linalg.norm(states - expected) <= 1e-13 * np.linalg.norm(deviation)
 
     def test_reference_peak_memory(self):
         # the dense eigensolve and the lift together: B and its eigh workspace, then the
@@ -586,6 +600,18 @@ class TestStability:
             traj = simulate_rom(rom, x0, times)
             norms = np.linalg.norm(F @ (traj.states - xbar[:, None]), axis=0)
             assert np.all(np.diff(norms) <= 1e-10 * norms[0])
+
+
+class TestDefaultHorizon:
+    def test_spans_the_slowest_decay(self, rod_db):
+        assert default_horizon(rod_db) == 5.0 / -rod_db.eigenvalues[0, 0].real
+
+    @pytest.mark.parametrize("real", [-1e-17, 0.0, 1e-17, 1e-3])
+    def test_a_spectrum_that_does_not_decay_is_refused(self, real):
+        # a dense first-order solve of an undamped chain leaves real parts near ±1e-17
+        db = database_from_modes([0.0, 1.0], np.ones((2, 1, 2)), eigenvalues=np.full((1, 2), real + 1.3j))
+        with pytest.raises(ValueError, match="needs a decaying spectrum.*specify a horizon"):
+            default_horizon(db)
 
 
 class TestBenchmark:
