@@ -1,16 +1,20 @@
 """On-disk formats for mode databases and deformation bases.
 
-A database is a directory holding ``manifest.json`` plus raw binary arrays:
-little-endian 64-bit floats in column-major order, complex values stored as
-interleaved (real, imaginary) pairs per element.  The mass matrix lives in
-``E.coo`` as zero-based ``row col value`` lines, one per nonzero.  Every file
-is checksummed in the manifest and written atomically (temp file, fsync,
-rename, then an fsync of the directory).
+A saved directory holds ``manifest.json`` and ``arrays.bin``; a database adds
+``E.coo``.  ``arrays.bin`` holds whole arrays back to back, each at the next
+64-byte boundary after zero padding: little-endian 64-bit floats in
+column-major order, complex values stored as interleaved (real, imaginary)
+pairs per element.  The manifest records each array's offset, shape, kind and
+the sha256 of its own byte range.  The mass matrix lives in ``E.coo`` as
+zero-based ``row col value`` lines, one per nonzero, checksummed in the
+manifest too.  Every file is written atomically (temp file, fsync, rename,
+then an fsync of the directory), the manifest last.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -24,7 +28,10 @@ from .edm import EdmBasis, energy_fraction
 from .modal import ModeDatabase
 from .numerics import MassFactor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_ALIGN = 64  # every array in arrays.bin starts at a multiple of this many bytes
+_BASIS_NDIMS = {"mean_mode": 1, "edms": 2, "singular_values": 1, "coefficients": 2}  # in file order
+_KINDS = {False: "real", True: "complex"}
 
 
 class FormatError(ValueError):
@@ -55,9 +62,9 @@ def _fsync(path) -> None:
 class _AtomicWrites:
     """A batch of files in one directory, each replaced atomically and durably.
 
-    ``add`` writes a payload to a unique temp file in the directory, so
-    concurrent writers never share one, starts its fsync in the background
-    and returns the payload's checksum.  On a clean exit from the ``with``
+    ``add`` writes its chunks back to back to a unique temp file in the
+    directory, so concurrent writers never share one, and starts its fsync in
+    the background.  On a clean exit from the ``with``
     block the batch waits for every fsync, renames the temp files over their
     targets in the order they were added, then fsyncs the directory: a crash
     leaves each file with its old or its new content, never an empty one.
@@ -71,16 +78,17 @@ class _AtomicWrites:
     def __enter__(self) -> _AtomicWrites:
         return self
 
-    def add(self, name: str, data: bytes) -> str:
+    def add(self, name: str, *chunks) -> None:
+        """Write the bytes-like, C-contiguous chunks back to back as the file ``name``."""
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=name)
         try:
             with os.fdopen(fd, "wb") as f:
-                f.write(data)
+                for chunk in chunks:
+                    f.write(chunk)
         except BaseException:
             os.unlink(tmp)
             raise
         self.pending.append((name, tmp, _SYNC_POOL.submit(_fsync, tmp)))
-        return _checksum(data)  # hashed while the file syncs
 
     def __exit__(self, exc_type, exc, tb) -> None:
         wait([synced for _, _, synced in self.pending])
@@ -104,11 +112,26 @@ def _write_atomic(path: Path, data: bytes) -> None:
         batch.add(path.name, data)
 
 
-def _add_array(batch: _AtomicWrites, arrays: dict, name: str, a: np.ndarray) -> None:
-    """Write an array's column-major bytes and record its manifest entry."""
-    is_complex = np.iscomplexobj(a)
-    data = np.asarray(a, dtype="<c16" if is_complex else "<f8").tobytes(order="F")
-    arrays[name] = {"shape": list(a.shape), "complex": is_complex, "checksum": batch.add(name, data)}
+def _add_arrays(batch: _AtomicWrites, arrays: dict[str, np.ndarray]) -> dict[str, dict]:
+    """Write the arrays to arrays.bin, each at the next 64-byte boundary, and return their manifest entries.
+
+    An array already stored as little-endian float64 or complex128 in Fortran
+    order goes to the file from its own buffer; any other is converted first.
+    """
+    entries: dict[str, dict] = {}
+    chunks, flats, end = [], [], 0
+    for name, a in arrays.items():
+        is_complex = np.iscomplexobj(a)
+        flat = np.asfortranarray(a, dtype="<c16" if is_complex else "<f8").ravel(order="F")
+        pad = -end % _ALIGN
+        entries[name] = {"offset": end + pad, "shape": list(a.shape), "complex": is_complex}
+        chunks += [bytes(pad), flat]
+        flats.append(flat)
+        end += pad + flat.nbytes
+    batch.add("arrays.bin", *chunks)
+    for entry, flat in zip(entries.values(), flats):  # hashed while the file syncs
+        entry["checksum"] = _checksum(flat)
+    return entries
 
 
 def _add_manifest(batch: _AtomicWrites, manifest: dict) -> None:
@@ -162,43 +185,101 @@ def _coo_parse(data: bytes, n: int) -> sp.coo_array:
     return sp.coo_array((entries["value"], (rows, cols)), shape=(n, n))
 
 
-def _read_file(path: Path, arrays: dict, name: str) -> bytes:
-    entry = arrays.get(name)
-    if entry is None:
-        raise FormatError(f"manifest has no entry for {name}")
+_JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
+
+
+def _get(mapping: dict, key: str, kind: type, where: str = "manifest.json"):
+    """``mapping[key]``, refused with FormatError when it is missing or not of the JSON ``kind``."""
+    if key not in mapping:
+        raise FormatError(f"{where} has no {key!r}")
+    value = mapping[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise FormatError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, found {type(value).__name__}")
+    return value
+
+
+def _read_file(path: Path, manifest: dict, name: str) -> bytes:
+    """The bytes of a file that the manifest's ``files`` checksums."""
+    checksum = _get(_get(manifest, "files", dict), name, str, "manifest.json 'files'")
     fpath = path / name
     if not fpath.is_file():
-        raise FormatError(f"missing array file {name}")
+        raise FormatError(f"missing file {name}")
     data = fpath.read_bytes()
-    if _checksum(data) != entry["checksum"]:
+    if _checksum(data) != checksum:
         raise ChecksumError(f"checksum mismatch in {name}")
     return data
 
 
-def _read_array(path: Path, arrays: dict, name: str, shape=None) -> np.ndarray:
-    """Read-only column-major view of a checksummed array file.
+def _read_arrays(path: Path, manifest: dict, shapes: dict[str, list | None]) -> dict[str, np.ndarray]:
+    """Writable column-major views, into one buffer read from arrays.bin, of the arrays ``shapes`` names.
 
-    ``shape``, when given, must match the file's manifest entry.
+    The manifest must list exactly these arrays, each of its ``shapes`` entry
+    unless that is None.  They must lie back to back at 64-byte boundaries
+    with zero padding, as written, arrays.bin must end where the last one
+    does, and each array's bytes must match its checksum.
     """
-    data = _read_file(path, arrays, name)
-    entry = arrays[name]
-    shape = tuple(entry["shape"]) if shape is None else shape
-    if list(entry["shape"]) != list(shape):
-        raise FormatError(f"{name}: manifest shape {entry['shape']} does not match expected {list(shape)}")
-    dtype = np.dtype("<c16" if entry["complex"] else "<f8")
-    expected = int(np.prod(shape)) * dtype.itemsize
-    if len(data) != expected:
-        raise FormatError(f"{name}: expected {expected} bytes for shape {shape}, found {len(data)}")
-    return np.frombuffer(data, dtype=dtype).reshape(shape, order="F")
+    entries = _get(manifest, "arrays", dict)
+    if sorted(entries) != sorted(shapes):
+        raise FormatError(f"manifest.json lists arrays {sorted(entries)}, expected {sorted(shapes)}")
+    fpath = path / "arrays.bin"
+    if not fpath.is_file():
+        raise FormatError("missing file arrays.bin")
+    with open(fpath, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        spans = []
+        for name, shape in shapes.items():
+            entry = _get(entries, name, dict, "manifest.json 'arrays'")
+            where = f"array {name!r}"
+            start = _get(entry, "offset", int, where)
+            listed = _get(entry, "shape", list, where)
+            dtype = np.dtype("<c16" if _get(entry, "complex", bool, where) else "<f8")
+            if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in listed):
+                raise FormatError(f"{name}: shape {listed} is not a list of sizes")
+            if shape is not None and listed != shape:
+                raise FormatError(f"{name}: manifest shape {listed} does not match expected {shape}")
+            stop = start + math.prod(listed) * dtype.itemsize
+            spans.append((start, stop, name, listed, dtype, _get(entry, "checksum", str, where)))
+        spans.sort()  # any range outside the file now overlaps another, starts before 0 or ends last
+        end, previous = 0, None
+        for start, stop, name, *_ in spans:
+            if start < end:
+                raise FormatError(f"arrays.bin: {name} at byte {start} overlaps {previous}, which ends at byte {end}")
+            if start != end + -end % _ALIGN:
+                raise FormatError(f"arrays.bin: {name} at byte {start}, expected at byte {end + -end % _ALIGN}")
+            end, previous = stop, name
+        if size != end:
+            raise FormatError(f"arrays.bin holds {size} bytes, but its last array, {previous}, ends at byte {end}")
+        buffer = np.empty(size, dtype=np.uint8)
+        if f.readinto(buffer) != size:
+            raise FormatError("arrays.bin changed size while it was read")
+    arrays, end = {}, 0
+    for start, stop, name, shape, dtype, checksum in spans:
+        if buffer[end:start].any():
+            raise FormatError(f"arrays.bin: nonzero padding before {name}")
+        if _checksum(memoryview(buffer)[start:stop]) != checksum:
+            raise ChecksumError(f"checksum mismatch in {name} (arrays.bin bytes {start} to {stop})")
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(buffer, dtype, count, start).reshape(shape, order="F")
+        end = stop
+    return arrays
 
 
 def _read_manifest(path: Path, kind: str) -> dict:
     mpath = path / "manifest.json"
     if not mpath.is_file():
         raise FormatError(f"no manifest.json in {path}")
-    manifest = json.loads(mpath.read_text())
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {manifest.get('format_version')}")
+    try:
+        manifest = json.loads(mpath.read_bytes())
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise FormatError(f"manifest.json is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"manifest.json holds a JSON {type(manifest).__name__}, not an object")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise FormatError(
+            f"{path} has format version {version!r}, which this version does not read; "
+            f"write the directory again with this version (format {FORMAT_VERSION})"
+        )
     if manifest.get("kind") != kind:
         raise FormatError(f"expected a {kind} directory, found {manifest.get('kind')!r}")
     return manifest
@@ -211,18 +292,16 @@ def save_database(db: ModeDatabase, path) -> Path:
     eig_block = db.eigenvalues
     if not np.any(eig_block.imag):
         eig_block = eig_block.real
+    arrays = {"eigenvalues": eig_block, "right_modes": db.right}
+    if db.left is not None:
+        arrays["left_modes"] = db.left
 
-    arrays: dict[str, dict] = {}
     path.mkdir(parents=True, exist_ok=True)
     with _AtomicWrites(path) as batch:
-        _add_array(batch, arrays, "eigenvalues.bin", eig_block)
-        for k in range(p):
-            _add_array(batch, arrays, f"right_modes_{k:03d}.bin", db.right[:, :, k])
-            if db.left is not None:
-                _add_array(batch, arrays, f"left_modes_{k:03d}.bin", db.left[:, :, k])
+        entries = _add_arrays(batch, arrays)
         F = db.mass_factor
         coo = _identity_coo_bytes(n) if F.kind == "identity" else _coo_bytes(F.mass())
-        arrays["E.coo"] = {"shape": [n, n], "complex": False, "checksum": batch.add("E.coo", coo)}
+        batch.add("E.coo", coo)
         _add_manifest(batch, {
             "format_version": FORMAT_VERSION,
             "kind": "mode-database",
@@ -236,60 +315,59 @@ def save_database(db: ModeDatabase, path) -> Path:
             "crossing_gaps": list(db.crossing_gaps),
             "warnings": list(db.warnings),
             "metadata": db.metadata,
-            "arrays": arrays,
+            "arrays": entries,
+            "files": {"E.coo": _checksum(coo)},
         })
     return path
 
 
 def load_database(path) -> ModeDatabase:
-    """Read a ModeDatabase directory, validating checksums and shapes."""
+    """Read a ModeDatabase directory, validating checksums and shapes; its mode arrays are views of one buffer."""
     path = Path(path)
     manifest = _read_manifest(path, "mode-database")
-    n, p, m = manifest["n"], manifest["p"], manifest["m"]
-    mus = manifest["parameters"]
+    n, p, m = (_get(manifest, key, int) for key in ("n", "p", "m"))
+    mus = _get(manifest, "parameters", list)
     if len(mus) != p:
         raise FormatError(f"manifest lists {len(mus)} parameters but p={p}")
-    arrays = manifest["arrays"]
-
-    def read_modes(family: str) -> np.ndarray:
-        # each sample's file fills its slice of one (n, m, p) array; copyto refuses
-        # a complex file under a real manifest instead of dropping imaginary parts
-        modes = np.empty((n, m, p), dtype=complex if manifest.get("complex") else float, order="F")
-        for k in range(p):
-            np.copyto(modes[:, :, k], _read_array(path, arrays, f"{family}_modes_{k:03d}.bin", (n, m)))
-        return modes
-
-    eig_block = _read_array(path, arrays, "eigenvalues.bin", (m, p)).astype(complex)
-    factor = MassFactor.of(_coo_parse(_read_file(path, arrays, "E.coo"), n))
-
-    return ModeDatabase(
-        mus=mus,
-        eigenvalues=eig_block,
-        right=read_modes("right"),
-        left=read_modes("left") if f"left_modes_{0:03d}.bin" in arrays else None,
-        mass_factor=factor,
-        paired=manifest.get("paired", False),
-        aligned=manifest.get("aligned", False),
-        crossing_gaps=tuple(manifest.get("crossing_gaps", [])),
-        warnings=tuple(manifest.get("warnings", [])),
-        metadata=manifest.get("metadata", {}),
-    )
+    is_complex = _get(manifest, "complex", bool)
+    shapes = {"eigenvalues": [m, p], "right_modes": [n, m, p]}
+    if "left_modes" in _get(manifest, "arrays", dict):
+        shapes["left_modes"] = [n, m, p]
+    arrays = _read_arrays(path, manifest, shapes)
+    for name in ("right_modes", "left_modes"):
+        # a complex array under a real manifest would change what the database is
+        if name in arrays and np.iscomplexobj(arrays[name]) != is_complex:
+            raise FormatError(
+                f"{name} holds {_KINDS[not is_complex]} values, but the manifest says {_KINDS[is_complex]}"
+            )
+    factor = MassFactor.of(_coo_parse(_read_file(path, manifest, "E.coo"), n))
+    try:
+        return ModeDatabase(
+            mus=mus,
+            eigenvalues=arrays["eigenvalues"],
+            right=arrays["right_modes"],
+            left=arrays.get("left_modes"),
+            mass_factor=factor,
+            paired=manifest.get("paired", False),
+            aligned=manifest.get("aligned", False),
+            crossing_gaps=tuple(manifest.get("crossing_gaps", [])),
+            warnings=tuple(manifest.get("warnings", [])),
+            metadata=manifest.get("metadata", {}),
+        )
+    except ValueError as exc:  # the parameter grid only: the reads above keep their own error types
+        raise FormatError(f"mode-database manifest: {exc}") from exc
 
 
 def save_edm_basis(basis: EdmBasis, path) -> Path:
-    """Write a deformation-basis directory (manifest + binary arrays)."""
+    """Write a deformation-basis directory (manifest + arrays.bin)."""
     path = Path(path)
     s = basis.singular_values
     captured = None
     if s.size and s.sum() > 0:
         captured = energy_fraction(s, basis.rank)
-    arrays: dict[str, dict] = {}
     path.mkdir(parents=True, exist_ok=True)
     with _AtomicWrites(path) as batch:
-        _add_array(batch, arrays, "mean_mode.bin", basis.mean_mode)
-        _add_array(batch, arrays, "edms.bin", basis.edms)
-        _add_array(batch, arrays, "singular_values.bin", basis.singular_values)
-        _add_array(batch, arrays, "coefficients.bin", basis.coefficients)
+        entries = _add_arrays(batch, {name: getattr(basis, name) for name in _BASIS_NDIMS})
         _add_manifest(batch, {
             "format_version": FORMAT_VERSION,
             "kind": "edm-basis",
@@ -299,7 +377,7 @@ def save_edm_basis(basis: EdmBasis, path) -> Path:
             "rank": basis.rank,
             "energy_captured": captured,
             "sample_mus": basis.sample_mus.tolist(),
-            "arrays": arrays,
+            "arrays": entries,
         })
     return path
 
@@ -308,19 +386,19 @@ def load_edm_basis(path) -> EdmBasis:
     """Read a basis directory written by save_edm_basis; refuse a manifest that does not fit its arrays."""
     path = Path(path)
     manifest = _read_manifest(path, "edm-basis")
-    arrays = manifest["arrays"]
-
-    def read(name: str) -> np.ndarray:
-        return _read_array(path, arrays, name).copy()
-
-    mean = read("mean_mode.bin")
-    edms = read("edms.bin")
+    mode_index = _get(manifest, "mode_index", int)
+    arrays = _read_arrays(path, manifest, dict.fromkeys(_BASIS_NDIMS))
+    for name, ndim in _BASIS_NDIMS.items():
+        if arrays[name].ndim != ndim:
+            raise FormatError(f"{name} has shape {list(arrays[name].shape)}, expected {ndim} dimensions")
+    # row-major copies keep query results bitwise as they were (on a column-major
+    # matrix, `edms @ c` takes another BLAS kernel, which rounds differently), and
+    # free the file's buffer
+    mean, edms, singular_values, coefficients = (arrays[name].copy() for name in _BASIS_NDIMS)
     if edms.shape[0] != mean.shape[0]:
-        raise FormatError("edms.bin row count does not match mean_mode.bin")
-    singular_values = read("singular_values.bin").real
-    coefficients = read("coefficients.bin")
+        raise FormatError("edms row count does not match mean_mode")
     try:
-        basis = EdmBasis(manifest["mode_index"], mean, edms, singular_values, coefficients, manifest.get("sample_mus"))
+        basis = EdmBasis(mode_index, mean, edms, singular_values.real, coefficients, manifest.get("sample_mus"))
     except ValueError as exc:  # the grid check only: the reads above keep their own error types
         raise FormatError(f"edm-basis manifest: {exc}") from exc
     for key, value in (("n", mean.shape[0]), ("p", basis.sample_mus.size), ("rank", basis.rank)):

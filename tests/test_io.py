@@ -72,15 +72,38 @@ class TestDatabaseRoundTrip:
         assert loaded.is_complex and loaded.samples[0].left_modes is not None
         assert_databases_equal(chain_db, loaded)
 
-    def test_sample_files_hold_the_array_slices(self, chain_db, tmp_path):
-        path = save_database(chain_db, tmp_path / "db")
-        for k in range(chain_db.p):
-            right = (path / f"right_modes_{k:03d}.bin").read_bytes()
-            left = (path / f"left_modes_{k:03d}.bin").read_bytes()
-            assert right == chain_db.right[:, :, k].tobytes(order="F")
-            assert left == chain_db.left[:, :, k].tobytes(order="F")
-        loaded = load_database(path)
-        assert loaded.right.flags.f_contiguous and loaded.left.flags.f_contiguous
+    @pytest.mark.parametrize("saved", ["database", "basis"])
+    def test_arrays_bin_holds_each_array_at_its_offset(self, chain_db, tmp_path, saved):
+        if saved == "database":
+            path = save_database(chain_db, tmp_path / "db")
+            arrays = {"eigenvalues": chain_db.eigenvalues, "right_modes": chain_db.right,
+                      "left_modes": chain_db.left}
+            loaded = load_database(path)
+            loaded = {"eigenvalues": loaded.eigenvalues, "right_modes": loaded.right, "left_modes": loaded.left}
+        else:
+            basis = extract_edm_basis(chain_db, 0, rank=2)
+            path = save_edm_basis(basis, tmp_path / "edm")
+            arrays = {name: getattr(basis, name) for name in ("mean_mode", "edms", "singular_values", "coefficients")}
+            loaded = load_edm_basis(path)
+            loaded = {name: getattr(loaded, name) for name in arrays}
+        assert sorted(f.name for f in path.iterdir()) == sorted(
+            ["manifest.json", "arrays.bin"] + (["E.coo"] if saved == "database" else []))
+        raw = (path / "arrays.bin").read_bytes()
+        entries = json.loads((path / "manifest.json").read_text())["arrays"]
+        assert sorted(entries) == sorted(arrays)
+        end = 0
+        for name, entry in sorted(entries.items(), key=lambda item: item[1]["offset"]):
+            data = arrays[name].tobytes(order="F")
+            start = entry["offset"]
+            assert start % 64 == 0 and start - end < 64 and raw[end:start] == bytes(start - end)
+            assert raw[start:start + len(data)] == data
+            end = start + len(data)
+        assert len(raw) == end
+        for name, a in loaded.items():
+            assert a.flags.writeable, name
+            if name != "eigenvalues":  # ModeDatabase keeps complex eigenvalues, stored real when they are
+                # a basis's arrays are row-major copies, so that queries round as they did
+                assert a.flags.c_contiguous if saved == "basis" else a.flags.f_contiguous, name
 
     def test_identity_mass_survives(self, tmp_path):
         db = bump_database(24, 2.0, np.linspace(0.1, 0.9, 5))
@@ -92,8 +115,12 @@ class TestDatabaseRoundTrip:
     def test_resave_is_byte_identical(self, rod_db, tmp_path):
         save_database(rod_db, tmp_path / "one")
         save_database(load_database(tmp_path / "one"), tmp_path / "two")
-        for f in sorted((tmp_path / "one").iterdir()):
-            assert f.read_bytes() == (tmp_path / "two" / f.name).read_bytes()
+        # a basis's arrays.bin has zero padding: mean_mode's 12 floats end at byte 96, edms starts at 128
+        save_edm_basis(extract_edm_basis(rod_db, 1, rank=2), tmp_path / "one" / "edm")
+        save_edm_basis(load_edm_basis(tmp_path / "one" / "edm"), tmp_path / "two" / "edm")
+        for f in sorted((tmp_path / "one").rglob("*")):
+            if f.is_file():
+                assert f.read_bytes() == (tmp_path / "two" / f.relative_to(tmp_path / "one")).read_bytes()
 
     def test_metadata_preserved(self, rod_db, tmp_path):
         save_database(rod_db, tmp_path / "db")
@@ -113,13 +140,12 @@ class TestDatabaseRoundTrip:
 
 
 class TestTamperDetection:
-    def test_flipped_byte_names_file(self, rod_db, tmp_path):
-        path = save_database(rod_db, tmp_path / "db")
-        victim = path / "right_modes_002.bin"
-        raw = bytearray(victim.read_bytes())
-        raw[13] ^= 0xFF
-        victim.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumError, match="right_modes_002.bin"):
+    @pytest.mark.parametrize("name", ["eigenvalues", "right_modes", "left_modes"])
+    def test_flipped_byte_names_its_array(self, chain_db, tmp_path, name):
+        path = save_database(chain_db, tmp_path / "db")
+        offset = json.loads((path / "manifest.json").read_text())["arrays"][name]["offset"]
+        flip_byte(path / "arrays.bin", offset + 13)
+        with pytest.raises(ChecksumError, match=f"checksum mismatch in {name}"):
             load_database(path)
 
     def test_manifest_parameter_count_mismatch(self, rod_db, tmp_path):
@@ -133,15 +159,15 @@ class TestTamperDetection:
     def test_manifest_shape_mismatch(self, rod_db, tmp_path):
         path = save_database(rod_db, tmp_path / "db")
         manifest = json.loads((path / "manifest.json").read_text())
-        manifest["arrays"]["right_modes_000.bin"]["shape"] = [1, 1]
+        manifest["arrays"]["right_modes"]["shape"] = [1, 1]
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(FormatError, match="right_modes_000.bin"):
+        with pytest.raises(FormatError, match="right_modes"):
             load_database(path)
 
     def test_missing_file(self, rod_db, tmp_path):
         path = save_database(rod_db, tmp_path / "db")
-        (path / "eigenvalues.bin").unlink()
-        with pytest.raises(FormatError, match="eigenvalues.bin"):
+        (path / "arrays.bin").unlink()
+        with pytest.raises(FormatError, match="arrays.bin"):
             load_database(path)
 
     def test_bad_coo_line(self, rod_db, tmp_path):
@@ -152,7 +178,7 @@ class TestTamperDetection:
         bad = b"not a triplet\n"
         import hashlib
 
-        manifest["arrays"]["E.coo"]["checksum"] = "sha256:" + hashlib.sha256(bad).hexdigest()
+        manifest["files"]["E.coo"] = "sha256:" + hashlib.sha256(bad).hexdigest()
         (path / "manifest.json").write_text(json.dumps(manifest))
         (path / "E.coo").write_bytes(bad)
         with pytest.raises(FormatError, match="row col value"):
@@ -318,20 +344,142 @@ class TestEdmBasisRoundTrip:
         with pytest.raises(FormatError, match=f"{key} = {value}"):
             load_edm_basis(path)
         # a damaged array is still named as such
-        victim = path / "edms.bin"
-        raw = bytearray(victim.read_bytes())
-        raw[3] ^= 0xFF
-        victim.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumError, match="edms.bin"):
+        flip_byte(path / "arrays.bin", json.loads((path / "manifest.json").read_text())["arrays"]["edms"]["offset"] + 3)
+        with pytest.raises(ChecksumError, match="checksum mismatch in edms"):
             load_edm_basis(path)
 
     def test_bad_checksum_keeps_its_type(self, rod_db, tmp_path):
         path = save_edm_basis(extract_edm_basis(rod_db, 0, rank=2), tmp_path / "edm")
-        victim = path / "coefficients.bin"
-        raw = bytearray(victim.read_bytes())
-        raw[3] ^= 0xFF
-        victim.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumError, match="coefficients.bin"):
+        offset = json.loads((path / "manifest.json").read_text())["arrays"]["coefficients"]["offset"]
+        flip_byte(path / "arrays.bin", offset + 3)
+        with pytest.raises(ChecksumError, match="checksum mismatch in coefficients"):
+            load_edm_basis(path)
+
+
+def flip_byte(path, index: int) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[index] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def edit_manifest(edit):
+    def apply(path):
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+    return apply
+
+
+def write_manifest_text(text: str):
+    return lambda path: (path / "manifest.json").write_text(text)
+
+
+def edit_arrays_bin(edit):
+    return lambda path: (path / "arrays.bin").write_bytes(edit((path / "arrays.bin").read_bytes()))
+
+
+def shift_offset(name: str, to: str):
+    def edit(manifest):
+        manifest["arrays"][name]["offset"] = manifest["arrays"][to]["offset"]
+    return edit_manifest(edit)
+
+
+def set_key(key, value):
+    def edit(manifest):
+        manifest[key] = value
+    return edit_manifest(edit)
+
+
+def delete_key(key):
+    return edit_manifest(lambda manifest: manifest.pop(key))
+
+
+class TestMalformedDirectory:
+    """A manifest or arrays.bin that does not fit the format is refused with FormatError, naming the problem."""
+
+    @pytest.fixture(params=["database", "basis"])
+    def saved(self, request, chain_db, tmp_path):
+        if request.param == "database":
+            return save_database(chain_db, tmp_path / "db"), load_database
+        return save_edm_basis(extract_edm_basis(chain_db, 0, rank=2), tmp_path / "edm"), load_edm_basis
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (write_manifest_text('{"format_version": 2,'), "manifest.json is not valid JSON"),
+            (write_manifest_text("[2]"), "manifest.json holds a JSON list, not an object"),
+            (delete_key("arrays"), "manifest.json has no 'arrays'"),
+            (set_key("arrays", []), "'arrays' must be an object, found list"),
+            (edit_arrays_bin(lambda raw: raw + bytes(8)), r"arrays.bin holds \d+ bytes, but its last array, \w+, ends"),
+            (edit_arrays_bin(lambda raw: raw[:-8]), r"arrays.bin holds \d+ bytes, but its last array, \w+, ends"),
+            (lambda path: (path / "arrays.bin").unlink(), "missing file arrays.bin"),
+        ],
+        ids=["invalid-json", "json-list", "no-arrays", "arrays-list", "arrays-bin-longer", "arrays-bin-shorter",
+             "no-arrays-bin"],
+    )
+    def test_refused_by_both_loaders(self, saved, damage, message):
+        path, load = saved
+        damage(path)
+        with pytest.raises(FormatError, match=message):
+            load(path)
+
+    def test_older_format_version_refused(self, saved):
+        path, load = saved
+        set_key("format_version", 1)(path)
+        with pytest.raises(FormatError, match="format version 1, .* write the directory again with this version"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (delete_key("n"), "manifest.json has no 'n'"),
+            (set_key("n", "12"), "'n' must be an integer, found str"),
+            (delete_key("parameters"), "manifest.json has no 'parameters'"),
+            (delete_key("complex"), "manifest.json has no 'complex'"),
+            (set_key("complex", False), "right_modes holds complex values, but the manifest says real"),
+            (set_key("parameters", [4.5, 3.0, 2.0, 0.5]), "mode-database manifest: .*strictly increasing"),
+            (shift_offset("left_modes", to="right_modes"), r"at byte \d+ overlaps \w+_modes, which ends"),
+            (edit_manifest(lambda manifest: manifest["arrays"]["left_modes"].update(offset=10**9)),
+             r"arrays.bin: left_modes at byte 1000000000, expected at byte \d+"),
+            (edit_manifest(lambda manifest: manifest["arrays"]["left_modes"].pop("checksum")),
+             "array 'left_modes' has no 'checksum'"),
+            (edit_manifest(lambda manifest: manifest["arrays"]["left_modes"].update(shape=[3, 2.5])),
+             r"left_modes: shape \[3, 2.5\] is not a list of sizes"),
+            (edit_manifest(lambda manifest: manifest["arrays"].update(spare=manifest["arrays"]["eigenvalues"])),
+             r"manifest.json lists arrays \['eigenvalues', 'left_modes', 'right_modes', 'spare'\], expected"),
+            (edit_manifest(lambda manifest: manifest["files"].pop("E.coo")), "'files' has no 'E.coo'"),
+        ],
+        ids=["no-n", "n-string", "no-parameters", "no-complex", "complex-under-real-manifest",
+             "parameters-unordered", "overlapping-ranges", "range-outside", "no-checksum", "shape-not-sizes",
+             "unknown-array", "no-coo-checksum"],
+    )
+    def test_refused_database(self, chain_db, tmp_path, damage, message):
+        path = save_database(chain_db, tmp_path / "db")
+        damage(path)
+        with pytest.raises(FormatError, match=message):
+            load_database(path)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (delete_key("mode_index"), "manifest.json has no 'mode_index'"),
+            (set_key("mode_index", True), "'mode_index' must be an integer, found bool"),
+            # mean_mode's 10 complex values end at byte 160; a shape of [8] would end at 128
+            (edit_manifest(lambda manifest: manifest["arrays"]["mean_mode"].update(shape=[8])),
+             "arrays.bin: edms at byte 192, expected at byte 128"),
+            (edit_arrays_bin(lambda raw: raw[:160] + b"\x01" + raw[161:]), "nonzero padding before edms"),
+            (edit_manifest(lambda manifest: manifest["arrays"]["coefficients"].update(shape=[2, 5])),
+             r"arrays.bin holds \d+ bytes, but its last array, coefficients, ends at byte"),
+            (edit_manifest(lambda manifest: manifest["arrays"]["edms"].update(shape=[10, 1, 2])),
+             r"edms has shape \[10, 1, 2\], expected 2 dimensions"),
+        ],
+        ids=["no-mode-index", "mode-index-bool", "gap-before-array", "nonzero-padding", "range-outside",
+             "wrong-ndim"],
+    )
+    def test_refused_basis(self, chain_db, tmp_path, damage, message):
+        path = save_edm_basis(extract_edm_basis(chain_db, 0, rank=2), tmp_path / "edm")
+        damage(path)
+        with pytest.raises(FormatError, match=message):
             load_edm_basis(path)
 
 

@@ -195,7 +195,7 @@ def rewrite_coo(path, text: str) -> None:
     """Replace a saved database's E.coo and record its checksum, so only the content is at fault."""
     (path / "E.coo").write_text(text)
     manifest = json.loads((path / "manifest.json").read_text())
-    manifest["arrays"]["E.coo"]["checksum"] = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    manifest["files"]["E.coo"] = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
     (path / "manifest.json").write_text(json.dumps(manifest))
 
 
