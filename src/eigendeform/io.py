@@ -134,10 +134,44 @@ def _add_arrays(batch: _AtomicWrites, arrays: dict[str, np.ndarray]) -> dict[str
     return entries
 
 
-def _add_manifest(batch: _AtomicWrites, manifest: dict) -> None:
-    # added last, so renamed once every file it lists is durable; sorted keys
-    # keep repeated runs byte-identical
-    batch.add("manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode())
+def _format1_files(path: Path) -> set[str]:
+    """The plain names that a format-1 manifest.json in ``path`` lists under ``arrays``: that format's files.
+
+    Any other manifest, or none, gives no names: format 2 lists arrays there.
+    """
+    try:
+        manifest = json.loads((path / "manifest.json").read_bytes())
+    except (OSError, ValueError):
+        return set()
+    format1 = isinstance(manifest, dict) and manifest.get("format_version") == 1
+    names = manifest["arrays"] if format1 and isinstance(manifest.get("arrays"), dict) else {}
+    return {name for name in names if name not in (".", "..") and os.path.basename(name) == name}
+
+
+def _save(path, kind: str, fields: dict, arrays: dict[str, np.ndarray], files: dict[str, bytes]) -> Path:
+    """Write the directory ``path`` as one batch: arrays.bin, then ``files``, then manifest.json.
+
+    The manifest holds the format version, ``kind``, ``fields``, the arrays'
+    entries and, when there are ``files``, their checksums.  It is added
+    last, so renamed once every file it lists is durable; sorted keys keep
+    repeated runs byte-identical.  Once the batch is renamed and the directory
+    fsynced, the files that a format-1 manifest there listed and this save did
+    not write are removed if they are regular files; a failed save keeps them.
+    """
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    stale = _format1_files(path) - {"arrays.bin", "manifest.json", *files}
+    with _AtomicWrites(path) as batch:
+        manifest = {"format_version": FORMAT_VERSION, "kind": kind, **fields, "arrays": _add_arrays(batch, arrays)}
+        for name, data in files.items():
+            batch.add(name, data)
+        if files:
+            manifest["files"] = {name: _checksum(data) for name, data in files.items()}
+        batch.add("manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode())
+    for target in (path / name for name in stale):
+        if target.is_file() and not target.is_symlink():
+            target.unlink(missing_ok=True)
+    return path
 
 
 def _coo_bytes(E: sp.coo_array) -> bytes:
@@ -287,38 +321,26 @@ def _read_manifest(path: Path, kind: str) -> dict:
 
 def save_database(db: ModeDatabase, path) -> Path:
     """Write a ModeDatabase directory; round-trips bit-exactly through load."""
-    path = Path(path)
-    n, p, m = db.n, db.p, db.m
     eig_block = db.eigenvalues
     if not np.any(eig_block.imag):
         eig_block = eig_block.real
     arrays = {"eigenvalues": eig_block, "right_modes": db.right}
     if db.left is not None:
         arrays["left_modes"] = db.left
-
-    path.mkdir(parents=True, exist_ok=True)
-    with _AtomicWrites(path) as batch:
-        entries = _add_arrays(batch, arrays)
-        F = db.mass_factor
-        coo = _identity_coo_bytes(n) if F.kind == "identity" else _coo_bytes(F.mass())
-        batch.add("E.coo", coo)
-        _add_manifest(batch, {
-            "format_version": FORMAT_VERSION,
-            "kind": "mode-database",
-            "n": n,
-            "p": p,
-            "m": m,
-            "complex": db.is_complex,
-            "parameters": db.mus.tolist(),
-            "paired": db.paired,
-            "aligned": db.aligned,
-            "crossing_gaps": list(db.crossing_gaps),
-            "warnings": list(db.warnings),
-            "metadata": db.metadata,
-            "arrays": entries,
-            "files": {"E.coo": _checksum(coo)},
-        })
-    return path
+    F = db.mass_factor
+    coo = _identity_coo_bytes(db.n) if F.kind == "identity" else _coo_bytes(F.mass())
+    return _save(path, "mode-database", {
+        "n": db.n,
+        "p": db.p,
+        "m": db.m,
+        "complex": db.is_complex,
+        "parameters": db.mus.tolist(),
+        "paired": db.paired,
+        "aligned": db.aligned,
+        "crossing_gaps": list(db.crossing_gaps),
+        "warnings": list(db.warnings),
+        "metadata": db.metadata,
+    }, arrays, {"E.coo": coo})
 
 
 def load_database(path) -> ModeDatabase:
@@ -360,26 +382,15 @@ def load_database(path) -> ModeDatabase:
 
 def save_edm_basis(basis: EdmBasis, path) -> Path:
     """Write a deformation-basis directory (manifest + arrays.bin)."""
-    path = Path(path)
     s = basis.singular_values
-    captured = None
-    if s.size and s.sum() > 0:
-        captured = energy_fraction(s, basis.rank)
-    path.mkdir(parents=True, exist_ok=True)
-    with _AtomicWrites(path) as batch:
-        entries = _add_arrays(batch, {name: getattr(basis, name) for name in _BASIS_NDIMS})
-        _add_manifest(batch, {
-            "format_version": FORMAT_VERSION,
-            "kind": "edm-basis",
-            "mode_index": basis.mode_index,
-            "n": int(basis.mean_mode.shape[0]),
-            "p": int(basis.sample_mus.size),
-            "rank": basis.rank,
-            "energy_captured": captured,
-            "sample_mus": basis.sample_mus.tolist(),
-            "arrays": entries,
-        })
-    return path
+    return _save(path, "edm-basis", {
+        "mode_index": basis.mode_index,
+        "n": int(basis.mean_mode.shape[0]),
+        "p": int(basis.sample_mus.size),
+        "rank": basis.rank,
+        "energy_captured": energy_fraction(s, basis.rank) if s.size and s.sum() > 0 else None,
+        "sample_mus": basis.sample_mus.tolist(),
+    }, {name: getattr(basis, name) for name in _BASIS_NDIMS}, {})
 
 
 def load_edm_basis(path) -> EdmBasis:

@@ -238,8 +238,12 @@ def generalized_eig(A, E, want_left: bool = False):
     columns of ``right`` have unit E-norm.  For real symmetric A the problem
     is solved in its self-adjoint form: eigenvalues are real, ``right`` is
     E-orthonormal and ``left`` is None even with ``want_left``.  Otherwise
-    ``want_left`` gives left vectors ψᴴA = λψᴴE with diag(leftᴴ E right) = 1;
-    a defective pencil raises EigensolverError naming its first such λ.
+    ``want_left`` gives left vectors ψᴴA = λψᴴE with leftᴴ E right = I, so
+    c = leftᴴ E x is the modal projection ``rom.simulate_full`` takes: each
+    column is scaled to ψᴴEφ = 1, and the columns of a repeated λ are
+    combined so that their block is I too.  A pencil where that scaling or
+    block is singular below 1e-12, defective or nearly so, raises
+    EigensolverError naming its first such λ.
 
     Every pencil is solved in the standard form B = F⁻ᵀAF⁻¹ (FᵀF = E;
     Golub & Van Loan, §8.7), whose vectors map back by F⁻¹, so each pair's
@@ -295,7 +299,18 @@ def generalized_eig(A, E, want_left: bool = False):
     if not want_left:
         return w, right, None
     vl = scipy.linalg.solve_triangular(F, vectors[0][:, order])
-    c = np.sum(vl.conj() * (E @ right), axis=0)
+    Er = E @ right
+    c = np.sum(vl.conj() * Er, axis=0)
+    # ψᴴEφ = 0 between distinct λ, but xGEEV returns any basis of a repeated λ's
+    # eigenspaces: a run of equal λ (ties as in _spectral_order) inverts its whole block
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(w))))
+    for run in np.split(np.arange(w.size), np.flatnonzero(np.abs(np.diff(w)) > tol) + 1):
+        if run.size > 1:
+            gram = vl[:, run].conj().T @ Er[:, run]
+            singular = np.linalg.svd(gram, compute_uv=False)[-1] < 1e-12  # a defective λ
+            if not singular:
+                vl[:, run] = vl[:, run] @ np.linalg.inv(gram).conj().T
+            c[run] = 0.0 if singular else 1.0
     defective = np.flatnonzero(np.abs(c) < 1e-12)
     if defective.size:
         raise EigensolverError(

@@ -9,16 +9,14 @@ solutions.
 """
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.blas import dgemm
 
 from .edm import EdmBasis, check_basis, interpolate_columns
 from .modal import ModeDatabase
-from .numerics import MassFactor, SingularMatrixError, as_dense, generalized_eig, is_symmetric, solve_linear
+from .numerics import EigensolverError, MassFactor, generalized_eig
 from .systems import FullOrderSystem, equilibrium
 
 # largest state dimension simulate_full solves by a dense eigendecomposition
@@ -120,12 +118,6 @@ def build_rom_interpolated(
     if strategy == "direct":
         right = [db.right_block(i) for i in range(m)]
         left = None if db.left is None else [db.left_block(i) for i in range(m)]
-
-        def column(block, w):
-            return block @ w
-
-        def operands(block):
-            return (block,)
     else:
         if edm_bases is None or len(edm_bases) < m:
             raise ValueError("edm strategy needs one deformation basis per retained mode")
@@ -139,23 +131,22 @@ def build_rom_interpolated(
             for i, basis in enumerate(bases):
                 check_basis(basis, db, i, f"{family} EDM basis {i + 1}")
 
-        def column(edm_basis, w):
-            return edm_basis.mean_mode + edm_basis.edms @ (edm_basis.coefficients @ w)
-
-        def operands(edm_basis):
-            return edm_basis.mean_mode, edm_basis.edms, edm_basis.coefficients
-
     weights = interpolate_columns(mus, np.eye(mus.size), mu, mode_scheme)
-
-    def interpolate(items):
-        dtype = np.result_type(weights, *[a for item in items for a in operands(item)])
-        block = np.empty((db.n, len(items)), dtype)
-        for i, item in enumerate(items):
-            block[:, i] = column(item, weights)
-        return block
-
-    basis = interpolate(right)
-    adjoint = basis if left is None else interpolate(left)
+    blocks = []
+    for chains in (right, left):
+        if chains is None:
+            continue
+        # columns are generated one at a time and written straight into the block
+        if strategy == "direct":
+            operands, columns = chains, (chain @ weights for chain in chains)
+        else:
+            operands = [a for b in chains for a in (b.mean_mode, b.edms, b.coefficients)]
+            columns = (b.mean_mode + b.edms @ (b.coefficients @ weights) for b in chains)
+        block = np.empty((db.n, m), np.result_type(weights, *operands))
+        for i, column in enumerate(columns):
+            block[:, i] = column
+        blocks.append(block)
+    basis, adjoint = blocks[0], blocks[-1]
     return _rom(db, mu, basis, adjoint, eigenvalues, equilibrium)
 
 
@@ -220,49 +211,18 @@ def simulate_rom(rom: Rom, x0, times) -> Trajectory:
     return Trajectory(times, states)
 
 
-def crank_nicolson(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
-    """Trapezoidal time integration of E ẏ = A(μ) y + b(μ).
-
-    Steps between requested output instants are subdivided so no internal step
-    exceeds horizon/10⁴.
-    """
-    times = _check_times(times)
-    x0 = np.asarray(x0, dtype=float)
-    A = as_dense(sys.operator_at(mu))
-    E = as_dense(sys.mass)
-    b = np.asarray(sys.source_at(mu), dtype=float)
-    max_step = (times[-1] - times[0]) / 1e4
-
-    factors: dict[float, tuple] = {}
-    states = np.empty((sys.n, times.size))
-    y = x0.copy()
-    states[:, 0] = y
-    for j in range(times.size - 1):
-        span = times[j + 1] - times[j]
-        nsub = max(1, int(np.ceil(span / max_step)))
-        h = span / nsub
-        if h not in factors:
-            factors[h] = lu_factor(E - 0.5 * h * A)
-        lu = factors[h]
-        for _ in range(nsub):
-            rhs = E @ y + 0.5 * h * (A @ y) + h * b
-            y = lu_solve(lu, rhs)
-        states[:, j + 1] = y
-    return Trajectory(times, states)
-
-
 def simulate_full(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
     """Exact spectral solution of the full-order system about its equilibrium.
 
     Refuses more than MAX_DENSE states.  The modes come from
-    ``generalized_eig``, which solves a symmetric pencil in the standard form
-    of E's MassFactor; its E-orthonormal Φ gives c = ΦᵀE(x0 − x̄) by
-    projection.  Any other Φ is inverted, c = Φ⁻¹(x0 − x̄), falling back to
-    trapezoidal integration with a warning when it is defective or too
-    ill-conditioned (cond(Φ) > 1e12) to invert reliably.  The lift
-    ``x̄ + Re(Φ diag(c) e^{λt})`` scales the n × nt coefficients in place and
-    adds x̄ into the product, in real arithmetic for a real spectrum and
-    basis; ``states`` is a fresh C-ordered float64 array.
+    ``generalized_eig`` with its left vectors Ψ, for which ΨᴴEΦ = I (Ψ = Φ
+    for a self-adjoint pencil, whose Φ is E-orthonormal), so every pencil
+    takes its coefficients by the one projection c = ΨᴴE(x0 − x̄).  A
+    defective pencil has no such Ψ: ``generalized_eig``'s EigensolverError is
+    re-raised naming μ.  The lift ``x̄ + Re(Φ diag(c) e^{λt})`` scales the
+    n × nt coefficients in place and adds x̄ into the product, in real
+    arithmetic for a real spectrum and basis; ``states`` is a fresh C-ordered
+    float64 array.
     """
     if sys.n > MAX_DENSE:
         raise ValueError(f"state dimension {sys.n} exceeds the dense limit {MAX_DENSE}")
@@ -270,22 +230,12 @@ def simulate_full(sys: FullOrderSystem, mu: float, x0, times) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     xbar = equilibrium(sys, mu)
 
-    A = sys.operator_at(mu)
     try:
-        lam, phi, _ = generalized_eig(A, sys.mass)
-        if is_symmetric(A):  # Φ is E-orthonormal: project
-            c = phi.T @ (sys.mass @ (x0 - xbar))
-        else:
-            if np.linalg.cond(phi) > 1e12:
-                raise SingularMatrixError("eigenbasis is ill-conditioned", rcond=0.0)
-            c = solve_linear(phi, (x0 - xbar).astype(phi.dtype))
-    except (SingularMatrixError, ValueError) as exc:
-        _warnings.warn(
-            f"spectral solution unavailable ({exc}); falling back to time integration",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return crank_nicolson(sys, mu, x0, times)
+        lam, phi, left = generalized_eig(sys.operator_at(mu), sys.mass, want_left=True)
+    except EigensolverError as exc:
+        raise EigensolverError(f"eigensolve failed at mu={mu}: {exc}") from exc
+    # Ψᴴv = conj(Ψᵀv) for the real v = E(x0 − x̄): no conjugate copy of Ψ
+    c = ((phi if left is None else left).T @ (sys.mass @ (x0 - xbar))).conj()
 
     if not np.iscomplexobj(phi) and not np.any(lam.imag):
         lam = lam.real  # a real spectrum and basis: lift without complex n x nt arrays

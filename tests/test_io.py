@@ -585,3 +585,66 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="disk full"):
             save_database(chain_db, path)
         assert {f.name: f.read_bytes() for f in path.iterdir()} == before
+
+
+class TestResaveOverFormat1:
+    """A save into a format-1 directory removes the files that manifest lists, and nothing else."""
+
+    OLD_FILES = {
+        "database": ["eigenvalues.bin", "right_modes_000.bin", "right_modes_001.bin", "left_modes_000.bin", "E.coo"],
+        "basis": ["mean_mode.bin", "edms.bin", "singular_values.bin", "coefficients.bin"],
+    }
+    NEW_FILES = {"database": {"arrays.bin", "E.coo", "manifest.json"}, "basis": {"arrays.bin", "manifest.json"}}
+
+    @pytest.fixture(params=["database", "basis"])
+    def format1(self, request, chain_db, tmp_path):
+        """(kind, a hand-made format-1 directory, a save of that kind into it, the file one level up that
+        its manifest names)."""
+        kind = request.param
+        path = tmp_path / kind
+        path.mkdir()
+        for name in self.OLD_FILES[kind]:
+            (path / name).write_bytes(b"format 1 " + name.encode())
+        (path / "notes.txt").write_text("kept")
+        outside = tmp_path / "outside.bin"
+        outside.write_bytes(b"not ours")
+        listed = self.OLD_FILES[kind] + ["../outside.bin"]
+        (path / "manifest.json").write_text(json.dumps({
+            "format_version": 1,
+            "kind": "mode-database" if kind == "database" else "edm-basis",
+            "arrays": {name: {"shape": [1], "complex": False, "checksum": "sha256:0"} for name in listed},
+        }))
+        if kind == "database":
+            return kind, path, lambda: save_database(chain_db, path), outside
+        return kind, path, lambda: save_edm_basis(extract_edm_basis(chain_db, 0, rank=2), path), outside
+
+    def test_resave_leaves_only_the_new_files_and_the_users(self, format1):
+        kind, path, save, outside = format1
+        save()
+        assert {f.name for f in path.iterdir()} == self.NEW_FILES[kind] | {"notes.txt"}
+        assert (path / "notes.txt").read_text() == "kept"
+        assert outside.read_bytes() == b"not ours"
+        (load_database if kind == "database" else load_edm_basis)(path)
+
+    def test_failed_save_keeps_the_old_files(self, format1, monkeypatch):
+        _, path, save, outside = format1
+        before = {f.name: f.read_bytes() for f in path.iterdir()}
+        real_fsync = os.fsync
+
+        def failing_fsync(fd):
+            if not stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError("disk full")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            save()
+        assert {f.name: f.read_bytes() for f in path.iterdir()} == before
+        assert outside.read_bytes() == b"not ours"
+
+    def test_format2_resave_removes_nothing_it_lists(self, chain_db, tmp_path):
+        # format 2 lists arrays, not files: a user file named like one survives
+        path = save_database(chain_db, tmp_path / "db")
+        (path / "right_modes").write_text("kept")
+        save_database(chain_db, path)
+        assert (path / "right_modes").read_text() == "kept"

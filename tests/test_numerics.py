@@ -107,6 +107,18 @@ class TestGeneralizedEig:
         assert np.all(np.abs(np.diag(left.conj().T @ E @ right) - 1.0) <= 1e-10)
         assert np.all(np.abs(np.einsum("ij,ik,kj->j", right.conj(), E, right) - 1.0) <= 1e-12)
 
+    def test_repeated_eigenvalues_are_biorthonormal_as_a_block(self):
+        # a non-normal pencil with a double conjugate pair and a double real eigenvalue,
+        # each semisimple: xGEEV's vectors of a repeated λ are any basis of its eigenspace
+        rng = np.random.default_rng(8)
+        rotation = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+        S = rng.standard_normal((6, 6))
+        E = random_spd(rng, 6)
+        A = E @ S @ scipy.linalg.block_diag(rotation, rotation, -0.5, -0.5) @ np.linalg.inv(S)
+        w, right, left = generalized_eig(A, E, want_left=True)
+        assert np.allclose(w, [-0.5, -0.5, -1 + 2j, -1 + 2j, -1 - 2j, -1 - 2j], atol=1e-12)
+        assert np.max(np.abs(left.conj().T @ E @ right - np.eye(6))) <= 1e-12
+
     def test_symmetric_gives_real_orthonormal(self):
         rng = np.random.default_rng(4)
         n = 10

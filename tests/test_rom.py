@@ -1,9 +1,12 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import eigendeform.numerics as numerics_module
 import eigendeform.rom as rom_module
 from eigendeform.edm import (
     OutOfDomainError,
@@ -13,13 +16,12 @@ from eigendeform.edm import (
     interpolate_mode,
 )
 from eigendeform.modal import align_database, database_from_modes, pair_modes, sample_spectrum
-from eigendeform.numerics import MassFactor, generalized_eig, solve_linear
+from eigendeform.numerics import EigensolverError, MassFactor, as_dense, generalized_eig, solve_linear
 from eigendeform.rom import (
     Rom,
     benchmark_strategies,
     build_rom_at_sample,
     build_rom_interpolated,
-    crank_nicolson,
     default_horizon,
     simulate_full,
     simulate_rom,
@@ -47,9 +49,38 @@ def rod_db(rod):
 
 
 @pytest.fixture(scope="module")
-def chain_db():
-    fos = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
-    return align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 4.5, 5), 3)))
+def chain():
+    return first_order_form(spring_chain_with_defect(5, k_defect=0.5))
+
+
+@pytest.fixture(scope="module")
+def chain_db(chain):
+    return align_database(pair_modes(sample_spectrum(chain, np.linspace(0.5, 4.5, 5), 3)))
+
+
+@pytest.fixture(scope="module")
+def repeated():
+    """A non-symmetric operator with a double, semisimple conjugate pair: xGEEV's
+    vectors of a repeated λ are any basis of its eigenspace."""
+    rotation = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    S = np.random.default_rng(5).standard_normal((4, 4))
+    A = S @ np.kron(np.eye(2), rotation) @ np.linalg.inv(S)
+    return FullOrderSystem(4, np.eye(4), lambda mu: A, lambda mu: np.zeros(4), (0.0, 1.0))
+
+
+# (system fixture, mu, initial state) of the full-order reference checks: the rod's
+# x0 is its equilibrium at another parameter, the others' a random state
+REFERENCE_CASES = [
+    pytest.param("rod", 11.0, None, id="rod"),
+    pytest.param("chain", 1.5, 3, id="chain"),
+    pytest.param("repeated", 0.0, 4, id="repeated"),
+]
+
+
+def reference_case(request, name, mu, seed):
+    sys_ = request.getfixturevalue(name)
+    x0 = equilibrium(sys_, 60.0) if seed is None else np.random.default_rng(seed).standard_normal(sys_.n)
+    return sys_, mu, x0
 
 
 def edm_bases(db, rank=2):
@@ -79,12 +110,20 @@ def assert_lift_matches_formula(rom, x0, times):
     assert np.linalg.norm(states - expected) <= 1e-13 * np.linalg.norm(deviation)
 
 
-def complex_spectral_lift(sys_, mu, x0, times):
-    """x̄ + Re(Φ · diag(c) · e^{λt}) with Φc = x0 − x̄, all in complex arithmetic."""
+def complex_spectral_lift(sys_, mu, x0, times, project=False):
+    """x̄ + Re(Φ · diag(c) · e^{λt}), all in complex arithmetic.
+
+    c solves Φc = x0 − x̄ by LU, or with ``project`` is the projection
+    ΨᴴE(x0 − x̄) on the left vectors (Ψ = Φ for a self-adjoint pencil).
+    """
     xbar = equilibrium(sys_, mu)
-    lam, phi, _ = generalized_eig(sys_.operator_at(mu), sys_.mass)
+    lam, phi, left = generalized_eig(sys_.operator_at(mu), sys_.mass, want_left=project)
     phi = phi.astype(complex)
-    c = solve_linear(phi, (x0 - xbar).astype(complex))
+    if project:
+        psi = phi if left is None else left.astype(complex)
+        c = psi.conj().T @ (sys_.mass @ (x0 - xbar)).astype(complex)
+    else:
+        c = solve_linear(phi, (x0 - xbar).astype(complex))
     return xbar[:, None] + np.real(phi @ (c[:, None] * np.exp(np.outer(lam, times))))
 
 
@@ -264,14 +303,16 @@ class TestSimulateFull:
         traj = simulate_full(rod, mu, xbar, times)
         assert np.max(np.abs(traj.states - xbar[:, None])) <= 1e-8 * max(np.max(np.abs(xbar)), 1.0)
 
-    def test_integrator_cross_check(self, rod):
-        mu = 11.0
-        x0 = equilibrium(rod, 60.0)
+    @pytest.mark.parametrize("name, mu, seed", REFERENCE_CASES)
+    def test_matrix_exponential_cross_check(self, request, name, mu, seed):
+        sys_, mu, x0 = reference_case(request, name, mu, seed)
         times = np.linspace(0.0, 2.0, 101)
-        spectral = simulate_full(rod, mu, x0, times)
-        stepped = crank_nicolson(rod, mu, x0, times)
+        spectral = simulate_full(sys_, mu, x0, times)
+        xbar = equilibrium(sys_, mu)
+        generator = np.linalg.solve(as_dense(sys_.mass), as_dense(sys_.operator_at(mu)))
+        exact = np.column_stack([xbar + scipy.linalg.expm(t * generator) @ (x0 - xbar) for t in times])
         scale = np.max(np.linalg.norm(spectral.states, axis=0))
-        assert np.max(np.linalg.norm(spectral.states - stepped.states, axis=0)) <= 1e-5 * scale
+        assert np.max(np.linalg.norm(spectral.states - exact, axis=0)) <= 1e-12 * scale
 
     def test_real_spectrum_lifts_in_real_arithmetic(self, rod):
         mu, x0 = 11.0, equilibrium(rod, 60.0)
@@ -290,18 +331,19 @@ class TestSimulateFull:
         # three real n x nt arrays (modal, product, states); a complex lift needs five
         assert peak <= 3.5 * rod.n * times.size * 8
 
-    def test_self_adjoint_pencil_is_projected_not_inverted(self, rod, monkeypatch):
-        mu, x0 = 11.0, equilibrium(rod, 60.0)
+    @pytest.mark.parametrize("name, mu, seed", REFERENCE_CASES)
+    def test_pencil_is_projected_not_inverted(self, request, monkeypatch, name, mu, seed):
+        sys_, mu, x0 = reference_case(request, name, mu, seed)
         times = np.linspace(0.0, 2.0, 41)
-        expected = complex_spectral_lift(rod, mu, x0, times)
+        expected = complex_spectral_lift(sys_, mu, x0, times)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the E-orthonormal eigenbasis was inverted")
+            raise AssertionError("the eigenbasis was inverted")
 
-        monkeypatch.setattr(rom_module, "solve_linear", forbidden)
-        monkeypatch.setattr(rom_module.np.linalg, "cond", forbidden)
-        states = simulate_full(rod, mu, x0, times).states
-        deviation = expected - equilibrium(rod, mu)[:, None]
+        monkeypatch.setattr(numerics_module, "solve_linear", forbidden)
+        monkeypatch.setattr(np.linalg, "cond", forbidden)
+        states = simulate_full(sys_, mu, x0, times).states
+        deviation = expected - equilibrium(sys_, mu)[:, None]
         assert np.linalg.norm(states - expected) <= 1e-13 * np.linalg.norm(deviation)
 
     def test_reference_peak_memory(self):
@@ -319,15 +361,14 @@ class TestSimulateFull:
             tracemalloc.stop()
         assert peak <= 4.25 * rod.n**2 * 8
 
-    def test_complex_spectrum_lift_unchanged(self):
-        chain = first_order_form(spring_chain_with_defect(5, k_defect=0.5))
+    def test_complex_spectrum_lift_unchanged(self, chain):
         mu, times = 1.5, np.linspace(0.0, 3.0, 61)
         x0 = np.random.default_rng(3).standard_normal(chain.n)
         states = simulate_full(chain, mu, x0, times).states
         assert states.dtype == np.float64
-        assert np.array_equal(states, complex_spectral_lift(chain, mu, x0, times))
+        assert np.array_equal(states, complex_spectral_lift(chain, mu, x0, times, project=True))
 
-    def test_defective_operator_falls_back_with_warning(self):
+    def test_defective_operator_refused(self):
         jordan = FullOrderSystem(
             2,
             np.eye(2),
@@ -336,12 +377,10 @@ class TestSimulateFull:
             (0.0, 1.0),
         )
         times = np.linspace(0.0, 1.0, 11)
-        x0 = np.array([0.0, 1.0])
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            traj = simulate_full(jordan, 0.0, x0, times)
-        # exact solution of the Jordan block: x1 = t, x2 = 1
-        assert np.allclose(traj.states[0], times, atol=1e-6)
-        assert np.allclose(traj.states[1], 1.0, atol=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match=r"mu=0(?s:.)*defective"):
+                simulate_full(jordan, 0.0, np.array([0.0, 1.0]), times)
 
     def test_dense_limit(self):
         sys_ = heat_rod(2001)
