@@ -9,6 +9,7 @@ environment variable (default: current directory).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -415,22 +416,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0, help="seed for synthetic modes")
     g.add_argument("--raw", action="store_true", help="skip the pair and align passes")
     g.add_argument("--out")
-    g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("modes", help="summarize a database; optionally dump eigenvalues")
     s.add_argument("--db", required=True)
     s.add_argument("--out", help="CSV path for the eigenvalue table")
-    s.set_defaults(func=cmd_modes)
 
     pr = sub.add_parser("pair", help="match mode chains across samples")
     pr.add_argument("--db", required=True)
     pr.add_argument("--out")
-    pr.set_defaults(func=cmd_pair)
 
     al = sub.add_parser("align", help="sign/phase alignment of a paired database")
     al.add_argument("--db", required=True)
     al.add_argument("--out")
-    al.set_defaults(func=cmd_align)
 
     e = sub.add_parser("edm", help="extract the deformation basis of one mode chain")
     e.add_argument("--db", required=True)
@@ -438,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--rank", type=int, default=None, help="explicit number of directions")
     e.add_argument("--energy", type=float, default=None, help="energy threshold (default 0.999)")
     e.add_argument("--out")
-    e.set_defaults(func=cmd_edm)
 
     it = sub.add_parser("interp", help="interpolate one mode at a parameter value")
     it.add_argument("--db", required=True)
@@ -450,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     it.add_argument("--energy", type=float, default=None)
     it.add_argument("--scheme", choices=["linear", "cubic"], default="linear")
     it.add_argument("--out")
-    it.set_defaults(func=cmd_interp)
 
     r = sub.add_parser("rom", help="build a reduced model and simulate a trajectory")
     r.add_argument("--db", required=True)
@@ -468,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--steps", type=int, default=1000)
     r.add_argument("--scheme", choices=["linear", "cubic"], default="linear")
     r.add_argument("--out")
-    r.set_defaults(func=cmd_rom)
 
     rp = sub.add_parser("report", help="CSV reports: error-sweep, benchmark, energy")
     rp.add_argument("what", choices=["error-sweep", "benchmark", "energy"])
@@ -483,22 +477,27 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--energy", type=float, default=None)
     rp.add_argument("--x0-mu", type=float, default=None)
     rp.add_argument("--out")
-    rp.set_defaults(func=cmd_report)
 
     ig = sub.add_parser("ingest", help="convert an external dataset (best effort)")
     ig.add_argument("--src", required=True)
     ig.add_argument("--paired", action="store_true",
                     help="dataset chains are already consistently ordered")
     ig.add_argument("--out")
-    ig.set_defaults(func=cmd_ingest)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when run, so a cmd_* function replaced after the parser was built is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         if args.debug:
             raise

@@ -12,7 +12,7 @@ gets interpolated to obtain modes at unsampled parameters.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -87,7 +87,12 @@ class EdmBasis:
     ``singular_values`` keeps the full spectrum of the weighted data matrix
     so energy fractions at any rank remain computable after truncation.
     ``mean_mode``, ``edms`` and ``coefficients`` are stored in their common
-    dtype, so a real one is promoted when another is complex.
+    dtype, so a real one is promoted when another is complex.  They are
+    copied once into two arrays: ``block``, the column-major (n, 1 + r)
+    ``[mean | EDMs]``, and ``coordinates``, the (1 + r, p) ``[1; coefficients]``
+    (a row of ones: the mean's coordinate at every sample).  ``mean_mode``,
+    ``edms`` and ``coefficients`` are views of them, so a basis has one
+    layout however it was made.
     """
 
     mode_index: int
@@ -96,6 +101,8 @@ class EdmBasis:
     singular_values: np.ndarray  # (min(n, p),)
     coefficients: np.ndarray  # (r, p)
     sample_mus: np.ndarray  # (p,)
+    block: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 1 + r), column-major
+    coordinates: np.ndarray = field(init=False, repr=False, compare=False)  # (1 + r, p)
 
     def __post_init__(self):
         mus = self.sample_mus
@@ -108,10 +115,20 @@ class EdmBasis:
             raise ValueError("sample parameters must be strictly increasing")
         if mus.shape != self.coefficients.shape[1:]:
             raise ValueError(f"{mus.size} sample parameters do not fit coefficients {self.coefficients.shape}")
-        object.__setattr__(self, "sample_mus", mus)
         dtype = np.result_type(self.mean_mode, self.edms, self.coefficients)
-        for name in ("mean_mode", "edms", "coefficients"):
-            object.__setattr__(self, name, getattr(self, name).astype(dtype, copy=False))
+        block = np.empty((self.mean_mode.shape[0], 1 + self.edms.shape[1]), dtype, order="F")
+        block[:, 0], block[:, 1:] = self.mean_mode, self.edms
+        coordinates = np.empty((1 + self.coefficients.shape[0], mus.size), dtype)
+        coordinates[0], coordinates[1:] = 1.0, self.coefficients
+        for name, value in (
+            ("sample_mus", mus),
+            ("block", block),
+            ("mean_mode", block[:, 0]),
+            ("edms", block[:, 1:]),
+            ("coordinates", coordinates),
+            ("coefficients", coordinates[1:]),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
@@ -248,13 +265,13 @@ def interpolate_mode(basis: EdmBasis, mu: float, scheme: str = "linear") -> np.n
 
     Interpolates the r stored coefficient trajectories at μ and reconstructs
     mean + EDMs · coefficients, an affine map of an r-dimensional interpolation
-    instead of an n-dimensional one.
+    instead of an n-dimensional one: the basis's ``[1; C]`` coordinates are
+    interpolated and its column-major ``[mean | EDMs]`` block applied to
+    ``[1; C w(μ)]`` in one product, which makes one n-vector.
     """
-    coeff = interpolate_columns(basis.sample_mus, basis.coefficients, mu, scheme)
-    # the basis arrays share one dtype, so the product can take the mean in place: one n-vector, not two
-    out = basis.edms @ coeff
-    out += basis.mean_mode
-    return out
+    x = interpolate_columns(basis.sample_mus, basis.coordinates, mu, scheme)  # [Σw; C w]
+    x[0] = 1.0  # Σw is 1 only to rounding: the mean enters exactly
+    return basis.block @ x
 
 
 def direct_interpolate(db: ModeDatabase, i: int, mu: float, scheme: str = "linear") -> np.ndarray:

@@ -402,14 +402,15 @@ def load_edm_basis(path) -> EdmBasis:
     for name, ndim in _BASIS_NDIMS.items():
         if arrays[name].ndim != ndim:
             raise FormatError(f"{name} has shape {list(arrays[name].shape)}, expected {ndim} dimensions")
-    # row-major copies keep query results bitwise as they were (on a column-major
-    # matrix, `edms @ c` takes another BLAS kernel, which rounds differently), and
-    # free the file's buffer
-    mean, edms, singular_values, coefficients = (arrays[name].copy() for name in _BASIS_NDIMS)
+    # EdmBasis copies mean_mode, edms and coefficients into its own arrays, in the
+    # layout of a freshly extracted basis, so both round alike; with the copy of
+    # singular_values, nothing keeps the file's buffer alive
+    mean, edms, coefficients = arrays["mean_mode"], arrays["edms"], arrays["coefficients"]
+    singular_values = arrays["singular_values"].real.copy()
     if edms.shape[0] != mean.shape[0]:
         raise FormatError("edms row count does not match mean_mode")
     try:
-        basis = EdmBasis(mode_index, mean, edms, singular_values.real, coefficients, manifest.get("sample_mus"))
+        basis = EdmBasis(mode_index, mean, edms, singular_values, coefficients, manifest.get("sample_mus"))
     except ValueError as exc:  # the grid check only: the reads above keep their own error types
         raise FormatError(f"edm-basis manifest: {exc}") from exc
     for key, value in (("n", mean.shape[0]), ("p", basis.sample_mus.size), ("rank", basis.rank)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, get_blas_funcs
 
 from .edm import EdmBasis, check_basis, interpolate_columns
 from .modal import ModeDatabase
@@ -52,9 +52,16 @@ class Trajectory:
 
 
 def _rom(db: ModeDatabase, mu, basis, adjoint, eigenvalues, equilibrium) -> Rom:
-    """A Rom in db's mass metric F, with its defect ‖(FΨ)ᴴ(FΦ) − I‖_F."""
+    """A Rom in db's mass metric F, with its defect ‖(FΨ)ᴴ(FΦ) − I‖_F.
+
+    The Gram is one BLAS gemm with the conjugate-transpose flag: no conjugate
+    copy, and no syrk when Ψ is Φ.
+    """
     F = db.mass_factor
-    gram = (F @ adjoint).conj().T @ (F @ basis)
+    f_basis = F @ basis
+    f_adjoint = f_basis if adjoint is basis else F @ adjoint
+    gemm = get_blas_funcs("gemm", (f_adjoint, f_basis))
+    gram = gemm(1.0, f_adjoint, f_basis, trans_a=2)
     eq = np.zeros(db.n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
     return Rom(float(mu), basis, adjoint, eigenvalues, eq, F, float(np.linalg.norm(gram - np.eye(gram.shape[0]))))
 
@@ -98,12 +105,14 @@ def build_rom_interpolated(
     ("edm", which needs one EdmBasis of ``db`` per retained chain, in chain
     order: ``edm.check_basis`` refuses any other).  Interpolation is linear in
     the sampled values, so one weight vector w on the sample grid serves every
-    chain: column i of the basis is ``block_i @ w`` (direct) or
-    ``mean_i + edms_i @ (coefficients_i @ w)`` (edm), written into one
-    preallocated (n, m) array.  Eigenvalues are cubic-spline interpolated
-    separately.  Left chains, when the system is not self-adjoint, are
-    interpolated with the same strategy.  The interpolated bases are not
-    re-bi-orthogonalized; the defect is stored on the Rom.
+    chain: column i of the basis is ``chain_i @ w`` (direct) or
+    ``block_i @ [1; coefficients_i @ w]`` (edm, with the basis's ``[mean |
+    EDMs]`` block, as in ``interpolate_mode``), one product written straight
+    into its column of a column-major (n, m) array.  Eigenvalues are
+    cubic-spline interpolated separately.  Left chains, when the system is
+    not self-adjoint, are interpolated with the same strategy.  The
+    interpolated bases are not re-bi-orthogonalized; the defect is stored on
+    the Rom.
     """
     if not (db.paired and db.aligned):
         raise ValueError("database must be paired and aligned before interpolation")
@@ -136,15 +145,15 @@ def build_rom_interpolated(
     for chains in (right, left):
         if chains is None:
             continue
-        # columns are generated one at a time and written straight into the block
-        if strategy == "direct":
-            operands, columns = chains, (chain @ weights for chain in chains)
-        else:
-            operands = [a for b in chains for a in (b.mean_mode, b.edms, b.coefficients)]
-            columns = (b.mean_mode + b.edms @ (b.coefficients @ weights) for b in chains)
-        block = np.empty((db.n, m), np.result_type(weights, *operands))
-        for i, column in enumerate(columns):
-            block[:, i] = column
+        operands = chains if strategy == "direct" else [b.block for b in chains]  # a block has its basis's dtype
+        block = np.empty((db.n, m), np.result_type(weights, *operands), order="F")
+        for i, chain in enumerate(chains):
+            if strategy == "direct":
+                np.matmul(chain, weights, out=block[:, i])
+            else:
+                x = chain.coordinates @ weights
+                x[0] = 1.0  # as in interpolate_mode
+                np.matmul(chain.block, x, out=block[:, i])
         blocks.append(block)
     basis, adjoint = blocks[0], blocks[-1]
     return _rom(db, mu, basis, adjoint, eigenvalues, equilibrium)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import eigendeform
-from eigendeform.cli import _write_csv, main
+from eigendeform import cli
+from eigendeform.cli import _write_csv, build_parser, main
 from eigendeform.io import load_database, load_edm_basis
 
 
@@ -105,6 +106,39 @@ class TestDebugFlag:
         assert proc.returncode == 1
         assert proc.stderr.startswith("Traceback (most recent call last):")
         assert "load_database" in proc.stderr
+
+
+class TestParserOncePerProcess:
+    def test_built_once_and_parses_as_a_fresh_one(self, rod_db_dir, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert run("modes", "--db", str(rod_db_dir)) == 0
+            assert run("generate", "heat-rod", "--mu-grid", "0:28", "--out", str(tmp_path / "x")) == 1
+            assert capsys.readouterr().err.startswith("error: mu grid")
+            usage = []
+            for parse in (run, lambda *argv: build_parser().parse_args(argv)):
+                with pytest.raises(SystemExit) as exc:
+                    parse("edm", "--db", str(rod_db_dir), "--rank", "two")
+                usage.append((exc.value.code, capsys.readouterr().err))
+            assert usage[0] == usage[1] and usage[0][0] == 2
+            with pytest.raises(ValueError, match="mu grid"):
+                run("--debug", "generate", "heat-rod", "--mu-grid", "0:28", "--out", str(tmp_path / "x"))
+            assert run("modes", "--db", str(rod_db_dir)) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_runs_the_command_function_in_place_when_called(self, monkeypatch):
+        cli._parser()  # built before the replacement below
+        monkeypatch.setattr(cli, "cmd_modes", lambda args: 7 if args.db == "somewhere" else 8)
+        assert run("modes", "--db", "somewhere") == 7
 
 
 class TestPrepareCommands:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eigendeform.edm import extract_edm_basis
+from eigendeform.edm import extract_edm_basis, interpolate_mode
 from eigendeform.io import (
     _coo_bytes,
     _coo_parse,
@@ -30,6 +30,7 @@ from eigendeform.modal import (
     sample_spectrum,
 )
 from eigendeform.numerics import IndefiniteMatrixError, MassFactor
+from eigendeform.rom import build_rom_interpolated
 from eigendeform.systems import first_order_form, heat_rod, spring_chain_with_defect
 
 
@@ -84,8 +85,8 @@ class TestDatabaseRoundTrip:
             basis = extract_edm_basis(chain_db, 0, rank=2)
             path = save_edm_basis(basis, tmp_path / "edm")
             arrays = {name: getattr(basis, name) for name in ("mean_mode", "edms", "singular_values", "coefficients")}
-            loaded = load_edm_basis(path)
-            loaded = {name: getattr(loaded, name) for name in arrays}
+            loaded_basis = load_edm_basis(path)
+            loaded = {name: getattr(loaded_basis, name) for name in arrays}
         assert sorted(f.name for f in path.iterdir()) == sorted(
             ["manifest.json", "arrays.bin"] + (["E.coo"] if saved == "database" else []))
         raw = (path / "arrays.bin").read_bytes()
@@ -101,9 +102,21 @@ class TestDatabaseRoundTrip:
         assert len(raw) == end
         for name, a in loaded.items():
             assert a.flags.writeable, name
-            if name != "eigenvalues":  # ModeDatabase keeps complex eigenvalues, stored real when they are
-                # a basis's arrays are row-major copies, so that queries round as they did
-                assert a.flags.c_contiguous if saved == "basis" else a.flags.f_contiguous, name
+            if saved == "database" and name != "eigenvalues":  # complex eigenvalues are stored real when they are
+                assert a.flags.f_contiguous, name
+        if saved == "basis":
+            # mean_mode and edms are column 0 and columns 1..r of one column-major block, as in a fresh
+            # basis, and coefficients rows 1..r of the coordinates [1; coefficients]
+            block, coordinates = loaded_basis.block, loaded_basis.coordinates
+            assert block.flags.f_contiguous and block.flags.writeable and block.shape == (chain_db.n, 3)
+            assert coordinates.flags.writeable and np.all(coordinates[0] == 1.0)
+            for view, whole, part in (
+                (loaded["mean_mode"], block, block[:, 0]),
+                (loaded["edms"], block, block[:, 1:]),
+                (loaded["coefficients"], coordinates, coordinates[1:]),
+            ):
+                assert view.base is whole
+                assert view.__array_interface__ == part.__array_interface__
 
     def test_identity_mass_survives(self, tmp_path):
         db = bump_database(24, 2.0, np.linspace(0.1, 0.9, 5))
@@ -304,6 +317,24 @@ class TestEdmBasisRoundTrip:
         loaded = load_edm_basis(tmp_path / "edm")
         assert np.iscomplexobj(loaded.edms)
         assert np.array_equal(loaded.edms, basis.edms)
+
+    def test_loaded_basis_rounds_as_the_fresh_one(self, tmp_path):
+        # the 24-mass chain (49 samples, left modes), rank 3: a fresh and a loaded
+        # basis hold one layout, so queries through either agree bit for bit
+        fos = first_order_form(spring_chain_with_defect(24, mass=2.0))
+        db = align_database(pair_modes(sample_spectrum(fos, np.linspace(0.5, 23.5, 49), 6)))
+        fresh = {which: [extract_edm_basis(db, i, rank=3, which=which) for i in range(3)] for which in ("right", "left")}
+        loaded = {
+            which: [load_edm_basis(save_edm_basis(b, tmp_path / f"{which}{i}")) for i, b in enumerate(bases)]
+            for which, bases in fresh.items()
+        }
+        modes = roms = 0  # mismatched mode queries (of 240) and ROM bases (of 80)
+        for mu in np.linspace(0.5, 23.5, 42)[1:-1]:
+            for a, b in zip(fresh["right"] + fresh["left"], loaded["right"] + loaded["left"]):
+                modes += not np.array_equal(interpolate_mode(a, mu), interpolate_mode(b, mu))
+            one, two = (build_rom_interpolated(db, mu, 3, "edm", bases["right"], bases["left"]) for bases in (fresh, loaded))
+            roms += (not np.array_equal(one.basis, two.basis)) + (not np.array_equal(one.adjoint, two.adjoint))
+        assert (modes, roms) == (0, 0)
 
     def test_manifest_reports_rank_and_energy(self, rod_db, tmp_path):
         basis = extract_edm_basis(rod_db, 0, energy=0.999)

@@ -15,7 +15,7 @@ from eigendeform.edm import (
     interpolate_columns,
     interpolate_mode,
 )
-from eigendeform.modal import align_database, database_from_modes, pair_modes, sample_spectrum
+from eigendeform.modal import ModeDatabase, align_database, database_from_modes, pair_modes, sample_spectrum
 from eigendeform.numerics import EigensolverError, MassFactor, as_dense, generalized_eig, solve_linear
 from eigendeform.rom import (
     Rom,
@@ -519,6 +519,67 @@ class TestOneWeightBuild:
         right, _ = edm_bases(rod_db)
         with pytest.raises(ValueError, match="basis carries no sample parameters"):
             dataclasses.replace(right[3], sample_mus=None)
+
+
+def smooth_database(dtype, with_left, mass, n=40, m=3, p=7, seed=0):
+    """Quadratic-in-μ random mode families of one dtype, marked paired and aligned, in a mass of the given kind."""
+    rng = np.random.default_rng(seed)
+    mus = np.linspace(0.0, 1.0, p)
+
+    def family():
+        coefficients = rng.standard_normal((3, n, m)) + (1j * rng.standard_normal((3, n, m)) if dtype is complex else 0)
+        return sum(c[..., None] * mus**k for k, c in enumerate(coefficients))
+
+    factor = {
+        "identity": lambda: MassFactor(n),
+        "diagonal": lambda: MassFactor.of(np.diag(rng.uniform(0.5, 2.0, n))),
+        "dense": lambda: MassFactor.of(np.eye(n) + 0.1 * (g := rng.standard_normal((n, n))) @ g.T / n),
+    }[mass]()
+    eigenvalues = -np.arange(1.0, m + 1.0)[:, None] * (1.0 + mus)
+    return ModeDatabase(mus, eigenvalues, family(), family() if with_left else None, factor, paired=True, aligned=True)
+
+
+SMOOTH_CASES = [
+    pytest.param(dtype, with_left, id=f"{dtype.__name__}-{'left' if with_left else 'no-left'}")
+    for dtype in (float, complex)
+    for with_left in (False, True)
+]
+
+
+class TestColumnMajorAssembly:
+    """ROM bases are column-major blocks of one product per column; the Gram is one gemm."""
+
+    @pytest.mark.parametrize("strategy", ["direct", "edm"])
+    @pytest.mark.parametrize("dtype, with_left", SMOOTH_CASES)
+    def test_columns_match_the_per_column_formula(self, dtype, with_left, strategy):
+        db = smooth_database(dtype, with_left, "identity")
+        right, left = edm_bases(db)
+        for mu in (0.05, 0.37, 0.5, 0.93):
+            rom = build_rom_interpolated(db, mu, db.m, strategy, right, left)
+            w = np.array([np.interp(mu, db.mus, e) for e in np.eye(db.p)])
+            for built, bases, family in ((rom.basis, right, db.right), (rom.adjoint, left, db.left)):
+                if family is None:
+                    assert built is rom.basis
+                    continue
+                assert built.flags.f_contiguous and built.dtype == np.dtype(dtype)
+                for i in range(db.m):
+                    b = bases[i]
+                    expected = family[:, i, :] @ w if strategy == "direct" else b.mean_mode + b.edms @ (b.coefficients @ w)
+                    assert np.linalg.norm(built[:, i] - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("mass", ["identity", "diagonal", "dense"])
+    @pytest.mark.parametrize("dtype, with_left", SMOOTH_CASES)
+    def test_biorth_defect_matches_numpy(self, dtype, with_left, mass):
+        db = smooth_database(dtype, with_left, mass)
+        right, left = edm_bases(db)
+        E = db.mass_factor.mass().toarray()
+        F = scipy.linalg.cholesky(E)  # upper, FᵀF = E, independent of MassFactor
+        roms = [build_rom_interpolated(db, 0.37, db.m, s, right, left) for s in ("direct", "edm")]
+        for rom in roms + [build_rom_at_sample(db, db.mus[2], db.m, None)]:
+            gram = (F @ rom.adjoint).conj().T @ (F @ rom.basis)
+            expected = np.linalg.norm(gram - np.eye(db.m))
+            assert expected > 1.0  # random modes: far from bi-orthonormal, so the comparison is not of round-off
+            assert abs(rom.biorth_defect - expected) <= 1e-13 * expected
 
 
 class TestSolutionInterpolation:
