@@ -1,14 +1,14 @@
 """On-disk formats for mode databases and deformation bases.
 
-A saved directory holds ``manifest.json`` and ``arrays.bin``; a database adds
-``E.coo``.  ``arrays.bin`` holds whole arrays back to back, each at the next
-64-byte boundary after zero padding: little-endian 64-bit floats in
-column-major order, complex values stored as interleaved (real, imaginary)
-pairs per element.  The manifest records each array's offset, shape, kind and
-the sha256 of its own byte range.  The mass matrix lives in ``E.coo`` as
-zero-based ``row col value`` lines, one per nonzero, checksummed in the
-manifest too.  Every file is written atomically (temp file, fsync, rename,
-then an fsync of the directory), the manifest last.
+A saved directory holds exactly ``manifest.json`` and ``arrays.bin``.
+``arrays.bin`` holds whole arrays back to back, each at the next 64-byte
+boundary after zero padding: little-endian 64-bit floats in column-major
+order, complex values stored as interleaved (real, imaginary) pairs per
+element.  The manifest records each array's offset, shape, kind and the sha256
+of its own byte range.  A database's mass metric is its ``MassFactor``: the
+manifest names its kind under ``mass`` and ``arrays.bin`` holds the factor's
+own array, none for the identity.  Both files are written atomically (temp
+file, fsync, rename, then an fsync of the directory), the manifest last.
 """
 from __future__ import annotations
 
@@ -17,21 +17,21 @@ import json
 import math
 import os
 import tempfile
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .edm import EdmBasis, energy_fraction
 from .modal import ModeDatabase
 from .numerics import MassFactor
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _ALIGN = 64  # every array in arrays.bin starts at a multiple of this many bytes
 _BASIS_NDIMS = {"mean_mode": 1, "edms": 2, "singular_values": 1, "coefficients": 2}  # in file order
 _KINDS = {False: "real", True: "complex"}
+# per MassFactor kind, the arrays that hold it: {array name: (MassFactor field, dimensions)}
+_MASS_ARRAYS = {"identity": {}, "diagonal": {"mass_scale": ("scale", 1)}, "dense": {"mass_cholesky": ("cholesky", 2)}}
 
 
 class FormatError(ValueError):
@@ -134,89 +134,42 @@ def _add_arrays(batch: _AtomicWrites, arrays: dict[str, np.ndarray]) -> dict[str
     return entries
 
 
-def _format1_files(path: Path) -> set[str]:
-    """The plain names that a format-1 manifest.json in ``path`` lists under ``arrays``: that format's files.
+def _old_files(path: Path) -> set[str]:
+    """The plain names that an older manifest.json in ``path`` lists as that format's files.
 
-    Any other manifest, or none, gives no names: format 2 lists arrays there.
+    Format 1 lists them under ``arrays``, format 2 (its text mass file) under
+    ``files``.  Any other manifest, or none, gives no names: format 3 lists
+    the arrays of arrays.bin under ``arrays``.
     """
     try:
         manifest = json.loads((path / "manifest.json").read_bytes())
     except (OSError, ValueError):
         return set()
-    format1 = isinstance(manifest, dict) and manifest.get("format_version") == 1
-    names = manifest["arrays"] if format1 and isinstance(manifest.get("arrays"), dict) else {}
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    key = "arrays" if version == 1 else "files" if version == 2 else None
+    names = manifest[key] if key and isinstance(manifest.get(key), dict) else {}
     return {name for name in names if name not in (".", "..") and os.path.basename(name) == name}
 
 
-def _save(path, kind: str, fields: dict, arrays: dict[str, np.ndarray], files: dict[str, bytes]) -> Path:
-    """Write the directory ``path`` as one batch: arrays.bin, then ``files``, then manifest.json.
+def _save(path, kind: str, fields: dict, arrays: dict[str, np.ndarray]) -> Path:
+    """Write the directory ``path`` as one batch: arrays.bin, then manifest.json.
 
-    The manifest holds the format version, ``kind``, ``fields``, the arrays'
-    entries and, when there are ``files``, their checksums.  It is added
-    last, so renamed once every file it lists is durable; sorted keys keep
-    repeated runs byte-identical.  Once the batch is renamed and the directory
-    fsynced, the files that a format-1 manifest there listed and this save did
-    not write are removed if they are regular files; a failed save keeps them.
+    The manifest holds the format version, ``kind``, ``fields`` and the
+    arrays' entries.  It is added last, so renamed once arrays.bin is
+    durable; sorted keys keep repeated runs byte-identical.  Once the batch is
+    renamed and the directory fsynced, the files that an older manifest there
+    listed are removed if they are regular files; a failed save keeps them.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    stale = _format1_files(path) - {"arrays.bin", "manifest.json", *files}
+    stale = _old_files(path) - {"arrays.bin", "manifest.json"}
     with _AtomicWrites(path) as batch:
         manifest = {"format_version": FORMAT_VERSION, "kind": kind, **fields, "arrays": _add_arrays(batch, arrays)}
-        for name, data in files.items():
-            batch.add(name, data)
-        if files:
-            manifest["files"] = {name: _checksum(data) for name, data in files.items()}
         batch.add("manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode())
     for target in (path / name for name in stale):
         if target.is_file() and not target.is_symlink():
             target.unlink(missing_ok=True)
     return path
-
-
-def _coo_bytes(E: sp.coo_array) -> bytes:
-    # repr of a Python float is the shortest exact round-trip form
-    lines = [f"{i} {j} {v!r}" for i, j, v in zip(E.row.tolist(), E.col.tolist(), E.data.tolist())]
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _identity_coo_bytes(n: int) -> bytes:
-    """The identity's E.coo: one line ``"i i 1.0"`` per i < n, formatted by one %-operation."""
-    return (("%d %d 1.0\n" * n) % tuple(np.repeat(np.arange(n), 2).tolist())).encode()
-
-
-_COO_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
-
-
-def _coo_parse(data: bytes, n: int) -> sp.coo_array:
-    """The n x n mass matrix of E.coo's lines; an entry listed twice is refused.
-
-    Lines split on whitespace and blank lines are skipped; numpy's C reader
-    converts every field, so a bad line is refused with numpy's own location.
-    """
-    try:
-        text = data.decode()
-        # a blank file has no entries; loadtxt would warn that it found no data
-        entries = np.empty(0, dtype=_COO_ENTRY)
-        if text.strip():
-            # numpy releases that still carry loadtxt's deprecated float fallback
-            # truncate an index such as 1.5 or 2.0 and only warn; raising that
-            # warning refuses the line whatever the caller's warning filters are
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                entries = np.loadtxt(text.splitlines(), dtype=_COO_ENTRY, comments=None, ndmin=1)
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise FormatError(f"E.coo: expected 'row col value' lines; {exc}") from exc
-    rows, cols = entries["row"], entries["col"]
-    outside = np.flatnonzero((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))
-    if outside.size:
-        k = outside[0]
-        raise FormatError(f"E.coo: index ({rows[k]}, {cols[k]}) outside {n}x{n}")
-    keys = np.sort(rows * n + cols, kind="stable")  # row-major files are sorted already
-    repeated = keys[1:][keys[1:] == keys[:-1]]
-    if repeated.size:
-        raise FormatError(f"E.coo lists entry ({repeated[0] // n}, {repeated[0] % n}) more than once")
-    return sp.coo_array((entries["value"], (rows, cols)), shape=(n, n))
 
 
 _JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
@@ -230,18 +183,6 @@ def _get(mapping: dict, key: str, kind: type, where: str = "manifest.json"):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise FormatError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, found {type(value).__name__}")
     return value
-
-
-def _read_file(path: Path, manifest: dict, name: str) -> bytes:
-    """The bytes of a file that the manifest's ``files`` checksums."""
-    checksum = _get(_get(manifest, "files", dict), name, str, "manifest.json 'files'")
-    fpath = path / name
-    if not fpath.is_file():
-        raise FormatError(f"missing file {name}")
-    data = fpath.read_bytes()
-    if _checksum(data) != checksum:
-        raise ChecksumError(f"checksum mismatch in {name}")
-    return data
 
 
 def _read_arrays(path: Path, manifest: dict, shapes: dict[str, list | None]) -> dict[str, np.ndarray]:
@@ -320,7 +261,7 @@ def _read_manifest(path: Path, kind: str) -> dict:
 
 
 def save_database(db: ModeDatabase, path) -> Path:
-    """Write a ModeDatabase directory; round-trips bit-exactly through load."""
+    """Write a ModeDatabase directory, its mass factor included; round-trips bit-exactly through load."""
     eig_block = db.eigenvalues
     if not np.any(eig_block.imag):
         eig_block = eig_block.real
@@ -328,7 +269,7 @@ def save_database(db: ModeDatabase, path) -> Path:
     if db.left is not None:
         arrays["left_modes"] = db.left
     F = db.mass_factor
-    coo = _identity_coo_bytes(db.n) if F.kind == "identity" else _coo_bytes(F.mass())
+    arrays.update({name: getattr(F, field) for name, (field, _) in _MASS_ARRAYS[F.kind].items()})
     return _save(path, "mode-database", {
         "n": db.n,
         "p": db.p,
@@ -340,11 +281,15 @@ def save_database(db: ModeDatabase, path) -> Path:
         "crossing_gaps": list(db.crossing_gaps),
         "warnings": list(db.warnings),
         "metadata": db.metadata,
-    }, arrays, {"E.coo": coo})
+        "mass": F.kind,
+    }, arrays)
 
 
 def load_database(path) -> ModeDatabase:
-    """Read a ModeDatabase directory, validating checksums and shapes; its mode arrays are views of one buffer."""
+    """Read a ModeDatabase directory, validating checksums and shapes; its mode arrays are views of one buffer.
+
+    The mass factor is built from its saved array, with no refactorization.
+    """
     path = Path(path)
     manifest = _read_manifest(path, "mode-database")
     n, p, m = (_get(manifest, key, int) for key in ("n", "p", "m"))
@@ -352,9 +297,13 @@ def load_database(path) -> ModeDatabase:
     if len(mus) != p:
         raise FormatError(f"manifest lists {len(mus)} parameters but p={p}")
     is_complex = _get(manifest, "complex", bool)
+    mass = _MASS_ARRAYS.get(_get(manifest, "mass", str))
+    if mass is None:
+        raise FormatError(f"manifest.json: mass kind {manifest['mass']!r} is not one of {list(_MASS_ARRAYS)}")
     shapes = {"eigenvalues": [m, p], "right_modes": [n, m, p]}
     if "left_modes" in _get(manifest, "arrays", dict):
         shapes["left_modes"] = [n, m, p]
+    shapes.update({name: [n] * ndim for name, (_, ndim) in mass.items()})
     arrays = _read_arrays(path, manifest, shapes)
     for name in ("right_modes", "left_modes"):
         # a complex array under a real manifest would change what the database is
@@ -362,7 +311,7 @@ def load_database(path) -> ModeDatabase:
             raise FormatError(
                 f"{name} holds {_KINDS[not is_complex]} values, but the manifest says {_KINDS[is_complex]}"
             )
-    factor = MassFactor.of(_coo_parse(_read_file(path, manifest, "E.coo"), n))
+    factor = MassFactor(n, **{field: arrays[name] for name, (field, _) in mass.items()})
     try:
         return ModeDatabase(
             mus=mus,
@@ -390,7 +339,7 @@ def save_edm_basis(basis: EdmBasis, path) -> Path:
         "rank": basis.rank,
         "energy_captured": energy_fraction(s, basis.rank) if s.size and s.sum() > 0 else None,
         "sample_mus": basis.sample_mus.tolist(),
-    }, {name: getattr(basis, name) for name in _BASIS_NDIMS}, {})
+    }, {name: getattr(basis, name) for name in _BASIS_NDIMS})
 
 
 def load_edm_basis(path) -> EdmBasis:

@@ -136,11 +136,34 @@ class MassFactor:
     or any other E (``cholesky``, the dense ``cholesky_factor(E)``).
     ``F @ x`` and ``F.solve(x)`` = F⁻¹x act on any array whose first axis has
     length n, such as an (n, m, p) block of modes; ``F.mass()`` gives E back.
+
+    The constructor refuses what ``of`` never gives: complex values, a
+    non-finite entry (SymmetryError), a non-positive ``scale`` or Cholesky
+    diagonal entry (IndefiniteMatrixError with its index) or a nonzero below
+    the Cholesky diagonal.  It keeps a dense factor row-major, as ``of`` makes
+    it, so a factor read from a file rounds as a fresh one.
     """
 
     n: int
     scale: np.ndarray | None = None  # (n,)
     cholesky: np.ndarray | None = None  # (n, n) upper-triangular
+
+    def __post_init__(self):
+        factor = self.scale if self.cholesky is None else self.cholesky
+        if factor is None:
+            return
+        if np.iscomplexobj(factor):
+            raise LinearAlgebraError("mass factor holds complex values")
+        if not np.all(np.isfinite(factor)):
+            raise SymmetryError("mass matrix has a non-finite entry")
+        pivots = factor if self.cholesky is None else np.diagonal(factor)
+        if not np.all(pivots > 0.0):
+            k = int(np.argmin(pivots > 0.0))  # the first pivot potrf would refuse
+            raise IndefiniteMatrixError(f"matrix is not positive definite: pivot index {k} is not positive", k)
+        if self.cholesky is not None:
+            if np.tril(factor, -1).any():
+                raise LinearAlgebraError("Cholesky factor has a nonzero below its diagonal")
+            object.__setattr__(self, "cholesky", np.ascontiguousarray(factor))
 
     @classmethod
     def of(cls, E) -> MassFactor:
@@ -168,12 +191,10 @@ class MassFactor:
             if np.count_nonzero(E) != np.count_nonzero(d):  # a nonzero (or NaN) off the diagonal
                 return None
             d = d.astype(float)
-        if not np.all(np.isfinite(d)):  # NaN or inf breaks E = Eᵀ, as in cholesky_factor
-            raise SymmetryError("matrix is not symmetric within tolerance")
-        if not np.all(d > 0.0):
-            k = int(np.argmin(d > 0.0))  # the first pivot potrf would refuse
-            raise IndefiniteMatrixError(f"matrix is not positive definite: pivot index {k} is not positive", k)
-        return cls(d.size) if np.all(d == 1.0) else cls(d.size, scale=np.sqrt(d))
+        if np.all(d == 1.0):
+            return cls(d.size)
+        # a signed square root keeps a non-finite or non-positive entry so, for the constructor to refuse
+        return cls(d.size, scale=np.copysign(np.sqrt(np.abs(d)), d))
 
     @property
     def kind(self) -> str:

@@ -192,7 +192,8 @@ def simulate_rom(rom: Rom, x0, times) -> Trajectory:
 
     dx0 = x0 - rom.equilibrium
     F = rom.mass_factor
-    xhat0 = (F @ rom.adjoint).conj().T @ (F @ dx0)
+    # Ψᴴv = conj(Ψᵀv) for the real v = F(x0 − x̄): no conjugate copy of Ψ
+    xhat0 = ((F @ rom.adjoint).T @ (F @ dx0)).conj()
 
     lam = rom.eigenvalues
     complex_basis = np.iscomplexobj(rom.basis)

@@ -3,7 +3,6 @@ import os
 import stat
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +10,6 @@ import scipy.sparse as sp
 
 from eigendeform.edm import extract_edm_basis, interpolate_mode
 from eigendeform.io import (
-    _coo_bytes,
-    _coo_parse,
-    _identity_coo_bytes,
     _write_atomic,
     ChecksumError,
     FormatError,
@@ -29,7 +25,6 @@ from eigendeform.modal import (
     pair_modes,
     sample_spectrum,
 )
-from eigendeform.numerics import IndefiniteMatrixError, MassFactor
 from eigendeform.rom import build_rom_interpolated
 from eigendeform.systems import first_order_form, heat_rod, spring_chain_with_defect
 
@@ -87,8 +82,7 @@ class TestDatabaseRoundTrip:
             arrays = {name: getattr(basis, name) for name in ("mean_mode", "edms", "singular_values", "coefficients")}
             loaded_basis = load_edm_basis(path)
             loaded = {name: getattr(loaded_basis, name) for name in arrays}
-        assert sorted(f.name for f in path.iterdir()) == sorted(
-            ["manifest.json", "arrays.bin"] + (["E.coo"] if saved == "database" else []))
+        assert sorted(f.name for f in path.iterdir()) == ["arrays.bin", "manifest.json"]
         raw = (path / "arrays.bin").read_bytes()
         entries = json.loads((path / "manifest.json").read_text())["arrays"]
         assert sorted(entries) == sorted(arrays)
@@ -124,6 +118,36 @@ class TestDatabaseRoundTrip:
         loaded = load_database(tmp_path / "db")
         assert loaded.mass_factor.kind == "identity"
         assert_databases_equal(db, loaded)
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
+    def test_mass_factor_round_trips_bitwise(self, kind, tmp_path):
+        # the factor's own array is saved and loaded, never refactored from E
+        n, rng = 30, np.random.default_rng(3)
+        B = rng.standard_normal((n, n))
+        mass = {"identity": np.eye(n), "diagonal": np.diag(rng.uniform(0.5, 2.0, n)),
+                "dense": B @ B.T + n * np.eye(n)}
+        db = database_from_modes([0.0, 1.0, 2.0], rng.standard_normal((n, 2, 3)), mass=mass[kind], paired=True)
+        path = save_database(db, tmp_path / "db")
+        manifest = json.loads((path / "manifest.json").read_text())
+        saved = {"identity": [], "diagonal": ["mass_scale"], "dense": ["mass_cholesky"]}[kind]
+        assert manifest["mass"] == kind
+        assert sorted(manifest["arrays"]) == sorted(["eigenvalues", "right_modes", *saved])
+        F, loaded = db.mass_factor, load_database(path).mass_factor
+        assert loaded.kind == kind
+        for fresh, read in ((F.scale, loaded.scale), (F.cholesky, loaded.cholesky)):
+            assert (fresh is None and read is None) or bit_equal(fresh, read)
+        x = rng.standard_normal((n, 3))
+        assert np.array_equal(loaded @ x, F @ x) and np.array_equal(loaded.solve(x), F.solve(x))
+
+    def test_saved_diagonal_mass_loads_to_the_same_factor_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(7)
+        diagonal = np.abs(special_values(rng, 200))
+        diagonal = diagonal[np.isfinite(diagonal) & (diagonal > 0)]  # the masses MassFactor accepts
+        n = diagonal.size
+        mass = sp.coo_array((diagonal, (np.arange(n),) * 2), shape=(n, n))
+        db = database_from_modes([0.0, 1.0], rng.standard_normal((n, 1, 2)), mass=mass, paired=True)
+        loaded = load_database(save_database(db, tmp_path / "db")).mass_factor
+        assert loaded.kind == "diagonal" and bit_equal(loaded.scale, db.mass_factor.scale)
 
     def test_resave_is_byte_identical(self, rod_db, tmp_path):
         save_database(rod_db, tmp_path / "one")
@@ -183,20 +207,6 @@ class TestTamperDetection:
         with pytest.raises(FormatError, match="arrays.bin"):
             load_database(path)
 
-    def test_bad_coo_line(self, rod_db, tmp_path):
-        path = save_database(rod_db, tmp_path / "db")
-        coo = (path / "E.coo").read_bytes()
-        (path / "E.coo").write_bytes(coo)  # unchanged: checksum ok
-        manifest = json.loads((path / "manifest.json").read_text())
-        bad = b"not a triplet\n"
-        import hashlib
-
-        manifest["files"]["E.coo"] = "sha256:" + hashlib.sha256(bad).hexdigest()
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        (path / "E.coo").write_bytes(bad)
-        with pytest.raises(FormatError, match="row col value"):
-            load_database(path)
-
 
 def special_values(rng, size: int) -> np.ndarray:
     """Random values over every exponent, after nan, ±inf, ±0.0, subnormals and the largest float."""
@@ -209,94 +219,6 @@ def special_values(rng, size: int) -> np.ndarray:
 
 def bit_equal(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-class TestCooParse:
-    N = 8
-
-    def parse(self, data: bytes):
-        coo = _coo_parse(data, self.N)
-        return coo.row.tolist(), coo.col.tolist(), coo.data.tolist()
-
-    def test_written_values_read_back_bit_exact(self):
-        rng = np.random.default_rng(20240611)
-        values = special_values(rng, 5000)
-        n = values.size  # one entry per row and per column, so no entry repeats
-        rows = rng.permutation(n)
-        cols = rng.permutation(n)
-        coo = _coo_parse(_coo_bytes(sp.coo_array((values, (rows, cols)), shape=(n, n))), n)
-        assert np.array_equal(coo.row, rows) and np.array_equal(coo.col, cols)
-        assert coo.data.dtype == np.float64 and bit_equal(coo.data, values)
-
-    @pytest.mark.parametrize("n", [1, 2, 17, 20000])
-    def test_identity_bytes_match_a_per_row_formatter(self, n):
-        per_row = ("\n".join(f"{i} {i} 1.0" for i in range(n)) + "\n").encode()
-        assert _identity_coo_bytes(n) == per_row
-
-    def test_saved_diagonal_mass_loads_to_the_same_factor_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        diagonal = np.abs(special_values(rng, 200))
-        diagonal = diagonal[np.isfinite(diagonal) & (diagonal > 0)]  # the masses MassFactor accepts
-        n = diagonal.size
-        mass = sp.coo_array((diagonal, (np.arange(n),) * 2), shape=(n, n))
-        db = database_from_modes([0.0, 1.0], rng.standard_normal((n, 1, 2)), mass=mass, paired=True)
-        path = save_database(db, tmp_path / "db")
-        written = db.mass_factor.mass()
-        assert (path / "E.coo").read_bytes() == _coo_bytes(written)
-        loaded = load_database(path).mass_factor
-        assert loaded.kind == "diagonal" and bit_equal(loaded.scale, MassFactor.of(written).scale)
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            b"0 0 1.0\r\n1 1 2.5\r\n",
-            b"0\t0\t1.0\n1 \t 1\t2.5\n",
-            b"\n0 0 1.0\n   \n\n1 1 2.5\n\n",
-            b"0 0 1.0\n1 1 2.5",
-        ],
-        ids=["crlf", "tabs", "blank-lines", "no-final-newline"],
-    )
-    def test_accepted_layouts(self, data):
-        assert self.parse(data) == ([0, 1], [0, 1], [1.0, 2.5])
-
-    @pytest.mark.parametrize(
-        "data, message",
-        [
-            (b"0 0 1.0\n1 1\n", r"expected 'row col value' lines; .*3 columns but 2"),
-            (b"0 0 1.0 2.0\n", r"expected 'row col value' lines; .*3 columns but 4"),
-            (b"0 0 1.0 # c\n", r"expected 'row col value' lines; .*3 columns but 5"),
-            (b"0 0 1.0\n-1 2 1.0\n", r"index \(-1, 2\) outside 8x8"),
-            (b"0 0 1.0\n3 8 1.0\n8 0 1.0\n", r"index \(3, 8\) outside 8x8"),
-            (b"0 0 1.0\n\xff 1 1.0\n", r"expected 'row col value' lines; .*decode byte 0xff"),
-            (b"0 0 1.0\n1 1 1.0\n0 0 2.0\n", r"entry \(0, 0\) more than once"),
-        ],
-        ids=["two-tokens", "four-tokens", "comment", "negative-index", "index-n", "non-utf8",
-             "repeated-entry"],
-    )
-    def test_refused_inputs(self, data, message):
-        with pytest.raises(FormatError, match=f"^E.coo.*{message}"):
-            _coo_parse(data, self.N)
-
-    @pytest.mark.parametrize("token", ["1.5", "0.9", "2.0", "1e0"])
-    @pytest.mark.parametrize("line", ["{} 0 1.0", "0 {} 1.0"], ids=["row", "col"])
-    def test_non_integer_index_refused_with_warnings_ignored(self, line, token):
-        # numpy releases with loadtxt's deprecated float fallback only warn before
-        # truncating such an index; the refusal must not depend on the suite's
-        # warnings-as-errors setting
-        data = f"0 0 1.0\n{line.format(token)}\n".encode()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(FormatError, match=f"^E.coo: expected 'row col value' lines; .*'{token}'"):
-                _coo_parse(data, self.N)
-
-    @pytest.mark.parametrize("data", [b"", b"\n \t\r\n\n"], ids=["empty", "blank"])
-    def test_empty_mass_is_refused_by_the_factor_without_a_warning(self, data):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            entries = _coo_parse(data, self.N)
-        assert entries.nnz == 0
-        with pytest.raises(IndefiniteMatrixError, match="pivot index 0"):
-            MassFactor.of(entries)  # as load_database factors E.coo
 
 
 class TestEdmBasisRoundTrip:
@@ -456,9 +378,10 @@ class TestMalformedDirectory:
 
     def test_older_format_version_refused(self, saved):
         path, load = saved
-        set_key("format_version", 1)(path)
-        with pytest.raises(FormatError, match="format version 1, .* write the directory again with this version"):
-            load(path)
+        for version in (1, 2):
+            set_key("format_version", version)(path)
+            with pytest.raises(FormatError, match=f"format version {version}, .* write the directory again with this"):
+                load(path)
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -478,11 +401,11 @@ class TestMalformedDirectory:
              r"left_modes: shape \[3, 2.5\] is not a list of sizes"),
             (edit_manifest(lambda manifest: manifest["arrays"].update(spare=manifest["arrays"]["eigenvalues"])),
              r"manifest.json lists arrays \['eigenvalues', 'left_modes', 'right_modes', 'spare'\], expected"),
-            (edit_manifest(lambda manifest: manifest["files"].pop("E.coo")), "'files' has no 'E.coo'"),
+            (delete_key("mass"), "manifest.json has no 'mass'"),
         ],
         ids=["no-n", "n-string", "no-parameters", "no-complex", "complex-under-real-manifest",
              "parameters-unordered", "overlapping-ranges", "range-outside", "no-checksum", "shape-not-sizes",
-             "unknown-array", "no-coo-checksum"],
+             "unknown-array", "no-mass"],
     )
     def test_refused_database(self, chain_db, tmp_path, damage, message):
         path = save_database(chain_db, tmp_path / "db")
@@ -619,46 +542,51 @@ class TestAtomicWrite:
 
 
 class TestResaveOverFormat1:
-    """A save into a format-1 directory removes the files that manifest lists, and nothing else."""
+    """A save into a format-1 or format-2 directory removes the files that manifest lists, and nothing else."""
 
+    # per case: the format version and the files it wrote that its manifest lists (format 1 under "arrays",
+    # format 2 under "files"); a format-2 directory also holds an arrays.bin, which the save replaces
     OLD_FILES = {
-        "database": ["eigenvalues.bin", "right_modes_000.bin", "right_modes_001.bin", "left_modes_000.bin", "E.coo"],
-        "basis": ["mean_mode.bin", "edms.bin", "singular_values.bin", "coefficients.bin"],
+        "database": (1, ["eigenvalues.bin", "right_modes_000.bin", "right_modes_001.bin", "left_modes_000.bin",
+                         "E.coo"]),
+        "basis": (1, ["mean_mode.bin", "edms.bin", "singular_values.bin", "coefficients.bin"]),
+        "format2-database": (2, ["E.coo"]),
     }
-    NEW_FILES = {"database": {"arrays.bin", "E.coo", "manifest.json"}, "basis": {"arrays.bin", "manifest.json"}}
 
-    @pytest.fixture(params=["database", "basis"])
-    def format1(self, request, chain_db, tmp_path):
-        """(kind, a hand-made format-1 directory, a save of that kind into it, the file one level up that
-        its manifest names)."""
-        kind = request.param
-        path = tmp_path / kind
+    @pytest.fixture(params=list(OLD_FILES))
+    def older(self, request, chain_db, tmp_path):
+        """(kind, a hand-made directory of the case's format, a save of that kind into it, the file one level up
+        that its manifest names)."""
+        version, old = self.OLD_FILES[request.param]
+        kind = "basis" if request.param == "basis" else "database"
+        path = tmp_path / request.param
         path.mkdir()
-        for name in self.OLD_FILES[kind]:
-            (path / name).write_bytes(b"format 1 " + name.encode())
+        for name in old + (["arrays.bin"] if version == 2 else []):
+            (path / name).write_bytes(b"format %d " % version + name.encode())
         (path / "notes.txt").write_text("kept")
         outside = tmp_path / "outside.bin"
         outside.write_bytes(b"not ours")
-        listed = self.OLD_FILES[kind] + ["../outside.bin"]
-        (path / "manifest.json").write_text(json.dumps({
-            "format_version": 1,
-            "kind": "mode-database" if kind == "database" else "edm-basis",
-            "arrays": {name: {"shape": [1], "complex": False, "checksum": "sha256:0"} for name in listed},
-        }))
+        listed = old + ["../outside.bin"]
+        manifest = {"format_version": version, "kind": "mode-database" if kind == "database" else "edm-basis"}
+        if version == 1:
+            manifest["arrays"] = {name: {"shape": [1], "complex": False, "checksum": "sha256:0"} for name in listed}
+        else:
+            manifest["files"] = dict.fromkeys(listed, "sha256:0")
+        (path / "manifest.json").write_text(json.dumps(manifest))
         if kind == "database":
             return kind, path, lambda: save_database(chain_db, path), outside
         return kind, path, lambda: save_edm_basis(extract_edm_basis(chain_db, 0, rank=2), path), outside
 
-    def test_resave_leaves_only_the_new_files_and_the_users(self, format1):
-        kind, path, save, outside = format1
+    def test_resave_leaves_only_the_new_files_and_the_users(self, older):
+        kind, path, save, outside = older
         save()
-        assert {f.name for f in path.iterdir()} == self.NEW_FILES[kind] | {"notes.txt"}
+        assert {f.name for f in path.iterdir()} == {"arrays.bin", "manifest.json", "notes.txt"}
         assert (path / "notes.txt").read_text() == "kept"
         assert outside.read_bytes() == b"not ours"
         (load_database if kind == "database" else load_edm_basis)(path)
 
-    def test_failed_save_keeps_the_old_files(self, format1, monkeypatch):
-        _, path, save, outside = format1
+    def test_failed_save_keeps_the_old_files(self, older, monkeypatch):
+        _, path, save, outside = older
         before = {f.name: f.read_bytes() for f in path.iterdir()}
         real_fsync = os.fsync
 
@@ -673,9 +601,10 @@ class TestResaveOverFormat1:
         assert {f.name: f.read_bytes() for f in path.iterdir()} == before
         assert outside.read_bytes() == b"not ours"
 
-    def test_format2_resave_removes_nothing_it_lists(self, chain_db, tmp_path):
-        # format 2 lists arrays, not files: a user file named like one survives
-        path = save_database(chain_db, tmp_path / "db")
-        (path / "right_modes").write_text("kept")
-        save_database(chain_db, path)
-        assert (path / "right_modes").read_text() == "kept"
+    def test_format3_resave_removes_nothing_it_lists(self, rod_db, tmp_path):
+        # format 3 lists arrays, not files: user files named like them survive
+        path = save_database(rod_db, tmp_path / "db")
+        for name in ("right_modes", "mass_scale"):
+            (path / name).write_text("kept")
+        save_database(rod_db, path)
+        assert all((path / name).read_text() == "kept" for name in ("right_modes", "mass_scale"))

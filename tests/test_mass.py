@@ -1,6 +1,5 @@
 """The mass metric: MassFactor kinds against the dense Cholesky oracle, refusals, and memory."""
 import dataclasses
-import hashlib
 import json
 import tracemalloc
 
@@ -10,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from eigendeform.edm import compute_edms, extract_edm_basis
-from eigendeform.io import FormatError, load_database, save_database
+from eigendeform.io import FormatError, _read_arrays, _save, load_database, save_database
 from eigendeform.modal import (
     ModeDatabase,
     align_database,
@@ -122,6 +121,7 @@ BAD_DIAGONAL = [
     (-1.0, IndefiniteMatrixError),
     (np.nan, SymmetryError),
     (np.inf, SymmetryError),
+    (-np.inf, SymmetryError),
 ]
 
 
@@ -191,12 +191,22 @@ def rod_mass_with(value):
     return sp.csr_array((d[keep], (i, i)), shape=(20, 20))
 
 
-def rewrite_coo(path, text: str) -> None:
-    """Replace a saved database's E.coo and record its checksum, so only the content is at fault."""
-    (path / "E.coo").write_text(text)
+def edit_saved_array(path, name: str, edit) -> None:
+    """Write a saved directory again with array ``name`` replaced by ``edit`` of a copy of it, through the
+    writer, so the offsets and checksums fit and only the content is at fault."""
     manifest = json.loads((path / "manifest.json").read_text())
-    manifest["files"]["E.coo"] = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
-    (path / "manifest.json").write_text(json.dumps(manifest))
+    arrays = _read_arrays(path, manifest, dict.fromkeys(manifest["arrays"]))
+    arrays[name] = edit(arrays[name].copy())
+    fields = {key: value for key, value in manifest.items() if key not in ("format_version", "kind", "arrays")}
+    _save(path, manifest["kind"], fields, arrays)
+
+
+def with_entry(index, value):
+    """An edit that sets one entry and returns the array."""
+    def edit(a):
+        a[index] = value
+        return a
+    return edit
 
 
 class TestEntryPointRefusals:
@@ -212,31 +222,85 @@ class TestEntryPointRefusals:
         with pytest.raises(error):
             database_from_modes([0.0, 1.0, 2.0], modes, mass=rod_mass_with(value).toarray())
 
-    @pytest.mark.parametrize("value, error", ENTRY_REFUSALS)
+    # the saved scale entry itself; a scale with an entry left out has the wrong shape
+    @pytest.mark.parametrize("value, error", BAD_DIAGONAL + [(None, FormatError)])
     def test_load_database(self, value, error, tmp_path):
         rod = heat_rod(20, h_left=1.0)
         db = align_database(pair_modes(sample_spectrum(rod, np.linspace(0.0, 28.0, 3), 3)))
         path = save_database(db, tmp_path / "db")
-        lines = (path / "E.coo").read_text().splitlines()
-        assert lines[3].startswith("3 3 ")
-        if value is None:
-            del lines[3]
-        else:
-            lines[3] = f"3 3 {value!r}"
-        rewrite_coo(path, "\n".join(lines) + "\n")
+        edit_saved_array(path, "mass_scale", lambda s: np.delete(s, 3) if value is None else with_entry(3, value)(s))
         with pytest.raises(error):
             load_database(path)
 
 
-class TestDatabaseMass:
-    def test_repeated_coo_entry_refused(self, tmp_path):
-        path = save_database(bump_database(6, 2.0, np.linspace(0.1, 0.9, 3)), tmp_path / "db")
-        text = (path / "E.coo").read_text()
-        assert text.startswith("0 0 1.0\n")
-        rewrite_coo(path, text + "0 0 7.0\n")
-        with pytest.raises(FormatError, match=r"entry \(0, 0\) more than once"):
+# an edit of a factor's array that MassFactor.of never gives: (kind, edit, error, message)
+FACTOR_REFUSALS = [
+    ("diagonal", lambda a: a.astype(complex), LinearAlgebraError, "complex values"),
+    ("dense", lambda a: a.astype(complex), LinearAlgebraError, "complex values"),
+    ("diagonal", with_entry(3, np.nan), SymmetryError, "non-finite"),
+    ("dense", with_entry((3, 3), np.inf), SymmetryError, "non-finite"),
+    ("diagonal", with_entry(3, 0.0), IndefiniteMatrixError, "pivot index 3"),
+    ("dense", with_entry((3, 3), -1.0), IndefiniteMatrixError, "pivot index 3"),
+    ("dense", with_entry((5, 2), 1e-300), LinearAlgebraError, "nonzero below its diagonal"),
+]
+FACTOR_REFUSAL_IDS = ["complex-scale", "complex-cholesky", "nan-scale", "inf-cholesky-pivot", "zero-scale",
+                      "negative-cholesky-pivot", "below-the-diagonal"]
+
+
+def saved_database(kind: str, tmp_path):
+    """A saved 7-state database whose mass has the MassFactor ``kind``."""
+    modes = np.random.default_rng(0).standard_normal((N, 2, 3))
+    db = database_from_modes([0.0, 1.0, 2.0], modes, mass=spd_mass(kind), paired=True)
+    return save_database(db, tmp_path / "db")
+
+
+class TestFactorRefusals:
+    """A factor that MassFactor.of never gives is refused by the constructor, and so by load_database, which
+    builds the factor from its saved array."""
+
+    @pytest.mark.parametrize(
+        "kind, listed, message",
+        [
+            ("diagonal", "banded", r"mass kind 'banded' is not one of \['identity', 'diagonal', 'dense'\]"),
+            ("identity", "diagonal", r"\['eigenvalues', 'right_modes'\], expected \['eigenvalues', 'mass_scale'"),
+            ("diagonal", "identity", r"'mass_scale', 'right_modes'\], expected \['eigenvalues', 'right_modes'\]"),
+            ("diagonal", "dense", r"'mass_scale', 'right_modes'\], expected \['eigenvalues', 'mass_cholesky'"),
+        ],
+        ids=["unknown-kind", "missing-array", "extra-array", "other-kinds-array"],
+    )
+    def test_kind_must_name_the_saved_array(self, kind, listed, message, tmp_path):
+        path = saved_database(kind, tmp_path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["mass"] = listed
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=message):
             load_database(path)
 
+    @pytest.mark.parametrize("kind, edit, error, message", FACTOR_REFUSALS, ids=FACTOR_REFUSAL_IDS)
+    def test_factor_of_no_mass_refused(self, kind, edit, error, message, tmp_path):
+        path = saved_database(kind, tmp_path)
+        edit_saved_array(path, {"diagonal": "mass_scale", "dense": "mass_cholesky"}[kind], edit)
+        with pytest.raises(error, match=message) as refused:
+            load_database(path)
+        if error is IndefiniteMatrixError:
+            assert refused.value.pivot == 3
+
+    @pytest.mark.parametrize("kind, edit, error, message", FACTOR_REFUSALS, ids=FACTOR_REFUSAL_IDS)
+    def test_constructor_refuses_the_same(self, kind, edit, error, message):
+        field = {"diagonal": "scale", "dense": "cholesky"}[kind]
+        fresh = getattr(MassFactor.of(spd_mass(kind)), field)
+        with pytest.raises(error, match=message) as refused:
+            MassFactor(N, **{field: edit(fresh.copy())})
+        if error is IndefiniteMatrixError:
+            assert refused.value.pivot == 3
+
+    def test_constructor_keeps_a_dense_factor_row_major(self):
+        C = cholesky_factor(spd_mass("dense"))
+        F = MassFactor(N, cholesky=np.asfortranarray(C))
+        assert F.cholesky.flags.c_contiguous and np.array_equal(F.cholesky, C)
+
+
+class TestDatabaseMass:
     def test_mass_of_the_wrong_size_refused(self):
         modes = np.random.default_rng(0).standard_normal((5, 2, 3))
         with pytest.raises(ValueError, match="n=5"):

@@ -267,6 +267,38 @@ class TestLift:
         with pytest.raises(ValueError, match=match):
             simulate_rom(Rom(**fields), np.zeros(4), np.linspace(0.0, 1.0, 5))
 
+    @pytest.mark.parametrize("mass", ["identity", "dense"])
+    def test_projection_matches_the_conjugate_transpose_formula(self, mass):
+        # at t = 0 a basis [I; iI] reads the reduced initial state back exactly: every mode is half a
+        # conjugate pair, so the lift's rows are 2 Re x̂₀ and −2 Im x̂₀
+        m, rng = 4, np.random.default_rng(8)
+        n = 2 * m
+        B = rng.standard_normal((n, n))
+        F = MassFactor(n) if mass == "identity" else MassFactor.of(B @ B.T + n * np.eye(n))
+        adjoint = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        rom = Rom(0.0, np.vstack([np.eye(m), 1j * np.eye(m)]), adjoint, -np.arange(1.0, m + 1) + 1j,
+                  np.zeros(n), F, 0.0)
+        x0 = rng.standard_normal(n)
+        states = simulate_rom(rom, x0, np.array([0.0, 1.0])).states[:, 0]
+        xhat0 = (states[:m] - 1j * states[m:]) / 2
+        conjugate_transpose = (F @ adjoint).conj().T @ (F @ x0)
+        assert np.max(np.abs(xhat0 - conjugate_transpose)) <= 1e-15 * np.max(np.abs(conjugate_transpose))
+
+    def test_projection_makes_no_conjugate_copy_of_the_adjoint(self):
+        n, m = 20000, 6
+        rng = np.random.default_rng(4)
+        # C-ordered, so the lift reads the complex basis without a copy
+        basis, adjoint = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) for _ in range(2))
+        rom = Rom(0.0, basis, adjoint, -np.arange(1.0, m + 1) + 1j, np.zeros(n), MassFactor(n), 0.0)
+        x0 = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            simulate_rom(rom, x0, np.array([0.0, 1.0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * n * m * 16, f"peak traced memory {peak / 1e6:.2f} MB"
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_peak_memory_is_one_state_array(self, dtype):
         n, nt, m = 800, 1001, 6
